@@ -46,7 +46,6 @@ FORMAT_CHECKS = (
     differential.check_reference_encode,
     differential.check_backend_agreement,
     differential.check_composed_agreement,
-    differential.check_numba_agreement,
     invariants.check_idempotence,
     invariants.check_rne_ties,
     invariants.check_posit_monotonic,

@@ -100,7 +100,7 @@ def resolve(spec: str | NumberFormat, *, backend: str | None = None) -> NumberFo
     grammar string (``posit32``, ``binary(8,23)``,
     ``fixedposit(16,es=2,r=3)``), or an existing instance (returned
     untouched).  ``backend`` picks the codec explicitly
-    (``direct``/``lut``/``composed``/``numba``); when omitted, the
+    (``direct``/``lut``/``composed``); when omitted, the
     ``REPRO_FORMAT_BACKEND`` environment variable applies, and after
     that the automatic policy (LUT tables for formats narrow enough to
     tabulate, direct codec otherwise) — precedence and fallback rules

@@ -9,14 +9,11 @@ from repro.metrics.pointwise import (
     pointwise_relative_error,
     scalar_relative_error,
 )
-from repro.metrics.streaming import PerBitStreaming, StreamingStats
 from repro.metrics.summary import SummaryStats
 
 __all__ = [
     "ErrorMetrics",
     "FaultMetrics",
-    "PerBitStreaming",
-    "StreamingStats",
     "SummaryStats",
     "absolute_error",
     "compare_arrays",

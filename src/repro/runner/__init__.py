@@ -5,8 +5,9 @@ point (``repro.inject.run_campaign``, suites, experiments, the CLI).  It
 turns a campaign into a plan of per-bit *shards*, hands them to a
 pluggable :class:`Executor` (serial, process pool, or lease-based
 work-stealing across independent processes — see
-:mod:`repro.runner.executors`), persists each completed shard plus a
-JSON manifest under a run directory, emits observable events (hooks, a
+:mod:`repro.runner.executors`), persists each completed shard plus its
+done record under a run directory (the JSON manifest is their fold,
+written at start, checkpoint, and finish), emits observable events (hooks, a
 terminal progress renderer, a JSONL event log), retries failed shards
 with backoff, and can resume a partial run to a result bit-identical to
 an uninterrupted one.  The runner is *policy* (planning, persistence,
@@ -54,6 +55,7 @@ from repro.runner.manifest import (
     RunManifest,
     ShardState,
     dataset_fingerprint,
+    fold_run,
     quarantine_dir,
     shard_checksum,
 )
@@ -65,7 +67,7 @@ from repro.runner.runner import (
     run_status,
 )
 from repro.runner.verify import Finding, VerifyReport, verify_run
-from repro.runner.worker import ShardWorker, WorkerResult, fold_run, run_worker
+from repro.runner.worker import ShardWorker, WorkerResult, run_worker
 
 __all__ = [
     "CampaignRunner",

@@ -37,10 +37,8 @@ from repro.runner.leases import (
     DEFAULT_LEASE_TIMEOUT,
     LeaseHeartbeat,
     cancel_requested,
-    default_worker_id,
     read_done_records,
     try_claim,
-    write_done_record,
 )
 
 
@@ -61,8 +59,8 @@ class ExecutionContext:
     Bound to a live :class:`CampaignRunner`; attribute reads delegate so
     test seams (e.g. monkeypatching ``CampaignRunner._compute_shard``)
     keep working, and completion accounting flows through the runner's
-    persistence path (atomic shard writes, checksums, manifest updates,
-    events) no matter which executor drives it.
+    one completion path (atomic shard write, done record with the
+    writer's checksum, events) no matter which executor drives it.
     """
 
     def __init__(self, runner, hooks, shards_total: int, trials_total: int):
@@ -128,6 +126,11 @@ class ExecutionContext:
         return self._runner.telemetry
 
     @property
+    def worker_id(self) -> str:
+        """This process's identity in done records and lease claims."""
+        return self._runner._worker_id
+
+    @property
     def trace_enabled(self) -> bool:
         """Whether this run is writing distributed-trace spans."""
         return self._runner._tracer is not None
@@ -139,7 +142,7 @@ class ExecutionContext:
         return self._runner._compute_shard(spec)
 
     def finish(self, spec, records, duration: float, attempts: int) -> None:
-        """Account a locally computed shard: persist, checksum, emit."""
+        """Account a locally computed shard: shard file, done record, emit."""
         self._runner._finish_shard(
             spec, records, duration, attempts, self._hooks,
             self.shards_total, self.trials_total,
@@ -150,12 +153,6 @@ class ExecutionContext:
         self._runner._adopt_shard(
             spec, record, self._hooks, self.shards_total, self.trials_total
         )
-
-    def shard_checksum_of(self, bit: int) -> str | None:
-        manifest = self._runner._manifest
-        if manifest is None or bit not in manifest.shards:
-            return None
-        return manifest.shards[bit].checksum
 
     def emit(self, kind: str, **kwargs) -> None:
         self._runner._emit(
@@ -456,14 +453,15 @@ class WorkStealingExecutor(Executor):
     """Cooperating processes claim shards via run-directory lease files.
 
     The calling (coordinator) process is itself one worker: it claims
-    and computes shards through the runner's normal persistence path and
+    and computes shards through the runner's normal completion path and
     is the *only* process that writes the manifest.  ``workers - 1``
     forked children run :class:`repro.runner.worker.ShardWorker` loops:
-    each claims a lease, computes, writes the shard CSV + a completion
-    record under ``leases/``, and appends its own events.  The
-    coordinator folds children's completions into the manifest by
-    *adopting* their done records (checksum-verified), so concurrent
-    manifest writes never happen.
+    each claims a lease, computes, writes the shard CSV + a done record
+    under ``leases/`` (the same completion path), and appends its own
+    events.  The coordinator *adopts* children's shards by loading them
+    (checksum-verified against their done records) into the run's
+    result; the manifest picks them up at the runner's finish fold, so
+    concurrent manifest writes never happen.
 
     Because claims go through the shared filesystem, external
     ``campaign worker <run-dir>`` processes — on this machine or any
@@ -492,7 +490,7 @@ class WorkStealingExecutor(Executor):
                 "executor for in-memory runs)"
             )
         run_dir = ctx.run_dir
-        worker_id = default_worker_id() + "-coord"
+        worker_id = ctx.worker_id
         workers = self.workers if self.workers is not None else ctx.jobs
         context = multiprocessing.get_context("fork")
         children = [
@@ -567,13 +565,6 @@ class WorkStealingExecutor(Executor):
                         lease.release()
                         raise
                     ctx.finish(spec, records, duration, attempts)
-                    write_done_record(
-                        run_dir, bit,
-                        trials=spec.trials, duration=duration,
-                        attempts=attempts,
-                        checksum=ctx.shard_checksum_of(bit) or "",
-                        worker=worker_id,
-                    )
                     lease.release()
                     remaining.pop(bit)
                 if remaining and not progressed:

@@ -14,11 +14,14 @@ a campaign.  The protocol has three artifacts, all under
     ``lease_timeout`` is presumed orphaned (worker crashed, was
     SIGKILLed, or lost the filesystem) and may be *stolen*.
 ``bit-NNN.done.json``
-    The shard's completion record: trial count, duration, attempts,
-    the shard CSV's SHA-256 checksum, and the worker identity.  Workers
-    never write the shared manifest (concurrent read-modify-write would
-    lose updates); completion records are folded into the manifest by
-    exactly one finalizer (:func:`repro.runner.worker.fold_run`).
+    The shard's done record: trial count, duration, attempts, the shard
+    CSV's SHA-256 checksum, and the worker identity.  Every executor
+    writes one after landing the shard file — serial and pool runs
+    included — and it is the durable record of the shard's completion.
+    Nobody writes the shared manifest per shard (concurrent
+    read-modify-write would lose updates); the manifest's shard states
+    are a fold of these records
+    (:func:`repro.runner.manifest.fold_done_records`).
 ``finalized``
     An ``O_EXCL`` marker electing the single worker that emits the
     ``run_finish`` event, so cooperating workers close the run once.

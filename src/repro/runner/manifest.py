@@ -3,17 +3,28 @@
 A run directory looks like::
 
     run-dir/
-      manifest.json       <- this module
-      events.jsonl        <- repro.runner.events
-      shards/bit-007.csv  <- one TrialRecords CSV per completed shard
+      manifest.json             <- this module
+      events.jsonl              <- repro.runner.events
+      shards/bit-007.csv        <- one TrialRecords CSV per completed shard
+      leases/bit-007.done.json  <- the shard's done record (repro.runner.leases)
 
 The manifest pins the campaign *identity* — config, root seed, canonical
 format spec, dataset fingerprint, code version — so a resume can refuse
 to mix shards from a different campaign, and records per-shard status
 plus a SHA-256 content checksum per completed shard, so a resume trusts
-nothing it cannot verify.  Writes go through an atomic replace; a kill
-mid-write never corrupts the previous manifest.  Shard files that fail
-verification are moved to ``shards/quarantine/`` (never silently
+nothing it cannot verify.
+
+A shard completes in exactly one way, whichever executor or worker
+computed it: :func:`persist_shard_file` lands the CSV and then a done
+record holding the writer's checksum is written.  The manifest is not
+touched per shard; it is written at run start, at checkpoint, and at
+finish, and its shard states are a fold of the done records
+(:func:`fold_done_records`).  Every reader — resume, ``campaign
+status``/``top``/``verify``, the run report — sees the same fold
+(:func:`load_folded`), so a run killed between checkpoints still shows
+its true progress.  Manifest writes go through an atomic replace; a
+kill mid-write never corrupts the previous manifest.  Shard files that
+fail verification are moved to ``shards/quarantine/`` (never silently
 deleted) and their shards demoted to pending.
 """
 
@@ -23,13 +34,14 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 import repro
 from repro.runner.errors import ManifestError
+from repro.runner.leases import read_done_records
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -72,9 +84,9 @@ def shard_file_name(bit: int) -> str:
 def shard_checksum(path: str | os.PathLike) -> str:
     """SHA-256 hex digest of a shard file's exact bytes.
 
-    Recorded in the manifest when a shard persists and re-verified on
-    resume and by ``campaign verify`` — a single flipped bit anywhere in
-    the file changes the digest.
+    Recorded in the shard's done record when it persists and re-verified
+    on resume and by ``campaign verify`` — a single flipped bit anywhere
+    in the file changes the digest.
     """
     digest = hashlib.sha256()
     with open(Path(path), "rb") as handle:
@@ -341,3 +353,102 @@ class RunManifest:
     @staticmethod
     def event_log_path(run_dir: str | os.PathLike) -> Path:
         return Path(run_dir) / EVENT_LOG_NAME
+
+
+def persist_shard_file(run_dir, bit: int, records) -> str:
+    """Atomically write one shard CSV; returns its SHA-256 checksum.
+
+    Serialize once, checksum the exact bytes that hit disk, write to a
+    temp file, rename into place: a kill at any instant leaves either no
+    shard file or a complete one.  The pid-suffixed temp name keeps
+    concurrent workers that (pathologically) compute the same shard from
+    clobbering each other's temp files — and since shards are
+    bit-identical, whichever rename lands last leaves the same bytes.
+
+    After landing, any *other* temp file for this shard is swept: a
+    writer SIGKILLed mid-write leaves its ``.tmp-<pid>`` behind, and the
+    process that recomputes the shard is the natural janitor (``verify``
+    flags unexplained files, so orphans must not linger).  Should the
+    swept temp belong to a live concurrent writer instead, that writer's
+    own rename finds the temp gone but the shard file present with the
+    identical deterministic bytes — which it treats as success.
+    """
+    path = RunManifest.shard_path(run_dir, bit)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = records.to_csv_string().encode("utf-8")
+    digest = hashlib.sha256(payload).hexdigest()
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    tmp.write_bytes(payload)
+    try:
+        os.replace(tmp, path)
+    except FileNotFoundError:
+        if not path.is_file():
+            raise  # temp vanished and nobody landed the shard: real loss
+    for stale in path.parent.glob(path.name + ".tmp-*"):
+        try:
+            stale.unlink()
+        except OSError:
+            pass
+    return digest
+
+
+def fold_done_records(manifest: RunManifest, records: dict[int, dict]) -> RunManifest:
+    """The manifest with ``records`` folded in; a pure function.
+
+    Returns a copy in which every planned shard that the manifest still
+    has pending but a done record covers is completed, taking its
+    checksum, duration, attempts, and worker from the record.  The fold
+    only adds completions — a shard the manifest already records stays
+    as recorded — so run directories written before done records existed
+    fold to themselves.  No file is read or hashed: the checksum is the
+    writer's, and it is checked when the shard is loaded.
+    """
+    shards = {bit: replace(state) for bit, state in manifest.shards.items()}
+    for bit, record in records.items():
+        state = shards.get(bit)
+        if state is None or state.status == SHARD_COMPLETED:
+            continue
+        state.status = SHARD_COMPLETED
+        state.checksum = record.get("checksum") or None
+        state.duration = record.get("duration")
+        state.attempts = int(record.get("attempts") or 1)
+        state.worker = record.get("worker")
+    return replace(manifest, shards=shards)
+
+
+def read_completions(run_dir: str | os.PathLike) -> dict[int, dict]:
+    """The run's done records whose shard file is on disk.
+
+    A record whose file is gone (deleted, or moved to quarantine) no
+    longer vouches for anything; its shard stays pending and is
+    recomputed, which overwrites the record.
+    """
+    return {
+        bit: record
+        for bit, record in read_done_records(run_dir).items()
+        if RunManifest.shard_path(run_dir, bit).is_file()
+    }
+
+
+def load_folded(run_dir: str | os.PathLike) -> RunManifest:
+    """Load the manifest and fold in the done records on disk."""
+    return fold_done_records(RunManifest.load(run_dir), read_completions(run_dir))
+
+
+def fold_run(run_dir: str | os.PathLike) -> RunManifest:
+    """Write the folded manifest back to disk; idempotent.
+
+    Used by work-stealing workers when a run finishes and by anything
+    else that wants the manifest on disk to catch up with the done
+    records.  When no shard remains pending the run status advances to
+    completed.  Concurrent folds by racing workers write identical
+    manifests (the write is an atomic replace); nothing is written when
+    the fold changes nothing.
+    """
+    manifest = RunManifest.load(run_dir)
+    folded = fold_done_records(manifest, read_completions(run_dir))
+    if not folded.pending_bits():
+        folded.status = RUN_COMPLETED
+    if folded.to_json() != manifest.to_json():
+        folded.write(run_dir)
+    return folded

@@ -3,8 +3,9 @@
 A :class:`CampaignRunner` turns a campaign into a plan of per-bit
 :class:`ShardSpec` units (the same unit of work the paper scatters over
 cluster nodes), executes them serially or on a fork pool, and — when
-given a run directory — persists every completed shard plus a JSON
-manifest so an interrupted run can :meth:`resume` to a result
+given a run directory — persists every completed shard plus its done
+record, and writes a JSON manifest folded from those records at start,
+checkpoint, and finish, so an interrupted run can :meth:`resume` to a result
 bit-identical to an uninterrupted one.  Bit-identity is guaranteed by
 the campaign's seeding discipline: each bit's trial stream comes from an
 independent ``SeedSequence.spawn`` child, so shards can run in any
@@ -24,7 +25,6 @@ prove the run either completes bit-identical or fails loudly.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
@@ -58,22 +58,25 @@ from repro.runner.leases import (
     active_leases,
     cancel_requested,
     default_worker_id,
-    read_done_records,
+    write_done_record,
 )
 from repro.runner.manifest import (
     RUN_COMPLETED,
     RUN_INTERRUPTED,
     RUN_RUNNING,
     RUN_SUBMITTED,
-    SHARD_COMPLETED,
     SHARD_PENDING,
     RunManifest,
     ShardState,
     dataset_fingerprint,
+    fold_done_records,
+    load_folded,
+    persist_shard_file,
     quarantine_dir,
     quarantine_file,
-    shard_checksum,
+    read_completions,
 )
+from repro.runner.verify import ShardProblem, load_trusted_shard
 from repro.telemetry import (
     MetricsSampler,
     MetricsWriter,
@@ -116,9 +119,9 @@ class ShardSpec:
 class RunStatus:
     """Snapshot of a run directory (the ``campaign status`` command).
 
-    Counts include shards whose completion record (``leases/``) exists
-    but has not yet been folded into the manifest — a work-stealing run
-    in flight reports live progress, not the manifest's last fold.
+    Counts come from the manifest folded with the done records under
+    ``leases/``, so a run in flight — or killed between checkpoints —
+    reports live progress, not the manifest's last write.
     """
 
     run_dir: str
@@ -356,6 +359,7 @@ class CampaignRunner:
         self._quarantined: list[dict] = []
         self._trace_ctx: TraceContext | None = None
         self._tracer: TraceWriter | None = None
+        self._worker_id = default_worker_id()
 
     # -- planning -----------------------------------------------------------
 
@@ -399,15 +403,12 @@ class CampaignRunner:
         self._hung_count = 0
         self._quarantined = []
 
-        owned_hooks = []
         if self.run_dir is not None:
             self._prepare_persistence(shards, resume)
-            owned_hooks.append(EventLogWriter(RunManifest.event_log_path(self.run_dir)))
         else:
             if resume:
                 raise RunnerError("resume requires a run_dir")
             self._manifest = None
-        hooks = self.hooks + owned_hooks
 
         trials_total = sum(s.trials for s in shards)
         self._trials_done = sum(self._completed[b].trial.size for b in self._completed)
@@ -417,9 +418,11 @@ class CampaignRunner:
         executor = resolve_executor(
             self.executor, jobs=self._effective_jobs, pending=len(pending)
         )
-        if self._manifest is not None and self._manifest.executor != executor.name:
-            self._manifest.executor = executor.name
-            self._manifest.write(self.run_dir)
+        # One identity for this process's done records, lease claims,
+        # and trace lane, so `campaign top` sees one worker, not two.
+        self._worker_id = default_worker_id()
+        if executor.name == "work-stealing":
+            self._worker_id += "-coord"
 
         # Fleet observability: when tracing is on (explicitly, via
         # REPRO_TRACE, or recorded in a resumed manifest) this process
@@ -428,21 +431,26 @@ class CampaignRunner:
         trace_on = self.trace_enabled
         if not trace_on and self._trace_arg is None and self._manifest is not None:
             trace_on = self._manifest.trace
+
+        owned_hooks = []
+        if self._manifest is not None:
+            # The run's one start write: status, executor, and tracing
+            # choice together.  Shards are not written into the manifest
+            # as they finish; checkpoint and finish fold their done records.
+            self._manifest.status = RUN_RUNNING
+            self._manifest.executor = executor.name
+            self._manifest.trace = self._manifest.trace or trace_on
+            self._manifest.write(self.run_dir)
+            owned_hooks.append(EventLogWriter(RunManifest.event_log_path(self.run_dir)))
+        hooks = self.hooks + owned_hooks
+
         sampler = None
         wall_start = time.time()
         self._trace_ctx = None
         self._tracer = None
-        if trace_on and self.run_dir is not None and self._manifest is not None:
-            if not self._manifest.trace:
-                self._manifest.trace = True
-                self._manifest.write(self.run_dir)
-            # Match the lease identity the work-stealing coordinator
-            # claims under, so `campaign top` sees one worker, not two.
-            worker = default_worker_id()
-            if executor.name == "work-stealing":
-                worker += "-coord"
+        if trace_on and self._manifest is not None:
             self._trace_ctx = TraceContext.for_run(
-                self._manifest.identity(), self.run_dir, worker=worker
+                self._manifest.identity(), self.run_dir, worker=self._worker_id
             )
             self._tracer = TraceWriter(self.run_dir, self._trace_ctx)
             sampler = MetricsSampler(
@@ -496,8 +504,7 @@ class CampaignRunner:
                         )
                 except BaseException as error:
                     if self._manifest is not None:
-                        self._manifest.status = RUN_INTERRUPTED
-                        self._manifest.write(self.run_dir)
+                        self._write_folded_manifest(RUN_INTERRUPTED)
                     # Persist the partial profile too: an interrupted run's
                     # telemetry is exactly what a post-mortem wants.
                     self._snapshot_telemetry()
@@ -530,8 +537,7 @@ class CampaignRunner:
                 if snapshot is not None:
                     result.extras["telemetry"] = snapshot
                 if self._manifest is not None:
-                    self._manifest.status = RUN_COMPLETED
-                    self._manifest.write(self.run_dir)
+                    self._write_folded_manifest(RUN_COMPLETED)
                 self._emit(hooks, "run_finish",
                            shards_total=len(shards), trials_total=trials_total)
                 return result
@@ -613,14 +619,10 @@ class CampaignRunner:
         manifest_path = Path(self.run_dir) / MANIFEST_NAME
         fresh = self._fresh_manifest(shards)
         if manifest_path.is_file():
-            # Fold completion records left by work-stealing workers into
-            # the manifest first, so a resume restores (and verifies)
-            # their shards instead of recomputing them.
-            if read_done_records(self.run_dir):
-                from repro.runner.worker import fold_run
-
-                fold_run(self.run_dir)
-            existing = RunManifest.load(self.run_dir)
+            # Done records the manifest has not folded yet (a killed run,
+            # or work-stealing workers) count as completions, so a resume
+            # restores — and verifies — those shards instead of recomputing.
+            existing = load_folded(self.run_dir)
             mismatches = fresh.mismatches(existing)
             if mismatches:
                 raise RunnerError(
@@ -638,55 +640,40 @@ class CampaignRunner:
             if resume and not manifest_path.parent.is_dir():
                 raise FileNotFoundError(f"no campaign run at {self.run_dir}")
             self._manifest = fresh
-        self._manifest.status = RUN_RUNNING
-        self._manifest.write(self.run_dir)
 
     def _restore_completed_shards(self) -> None:
         """Load persisted shard records, refusing any that fail verification.
 
-        Every restored shard must pass its manifest SHA-256 checksum
-        (when recorded), parse, and hold the expected trial count.  A
-        shard failing any check is demoted to pending *and* its file
-        moved to ``shards/quarantine/`` — evidence is preserved, and the
-        corrupt bytes can never silently feed a result.  A missing file
-        simply demotes (there is nothing to quarantine).
+        Every restored shard must be trustworthy by
+        :func:`repro.runner.verify.load_trusted_shard`.  A shard failing
+        any check is demoted to pending *and* its file moved to
+        ``shards/quarantine/`` — evidence is preserved, and the corrupt
+        bytes can never silently feed a result.  A missing file simply
+        demotes (there is nothing to quarantine).
         """
         for bit in self._manifest.completed_bits():
             state = self._manifest.shards[bit]
             path = RunManifest.shard_path(self.run_dir, bit)
-            if not path.is_file():
+            records = load_trusted_shard(
+                path, self.records_class, checksum=state.checksum, trials=state.trials
+            )
+            if isinstance(records, ShardProblem):
                 state.status = SHARD_PENDING
                 state.checksum = None
-                continue
-            reason = None
-            records = None
-            if state.checksum is not None:
-                actual = shard_checksum(path)
-                if actual != state.checksum:
-                    reason = (
-                        f"checksum mismatch (manifest {state.checksum[:12]}, "
-                        f"file {actual[:12]})"
+                if records.kind != "missing":
+                    dest = quarantine_file(self.run_dir, path)
+                    self._quarantined.append(
+                        {"bit": bit, "reason": records.message,
+                         "quarantined_to": str(dest)}
                     )
-            if reason is None:
-                try:
-                    records = self.records_class.read_csv(path)
-                except (OSError, ValueError) as error:
-                    reason = f"unreadable shard file ({error})"
-                else:
-                    if len(records) != state.trials:
-                        reason = (
-                            f"trial count mismatch (manifest {state.trials}, "
-                            f"file {len(records)})"
-                        )
-            if reason is not None:
-                dest = quarantine_file(self.run_dir, path)
-                state.status = SHARD_PENDING
-                state.checksum = None
-                self._quarantined.append(
-                    {"bit": bit, "reason": reason, "quarantined_to": str(dest)}
-                )
                 continue
             self._completed[bit] = records
+
+    def _write_folded_manifest(self, status: str) -> None:
+        """Checkpoint or finish: fold this run's done records, write once."""
+        self._manifest = fold_done_records(self._manifest, read_completions(self.run_dir))
+        self._manifest.status = status
+        self._manifest.write(self.run_dir)
 
     def _sample_metrics(self) -> dict:
         """One time-series point for this process (the sampler callable)."""
@@ -722,28 +709,6 @@ class CampaignRunner:
             write_snapshot(snapshot, telemetry_path(self.run_dir))
         return snapshot
 
-    def _persist_shard(self, spec: ShardSpec, records: TrialRecords,
-                       duration: float, attempts: int) -> None:
-        if self._manifest is None:
-            return
-        path = RunManifest.shard_path(self.run_dir, spec.bit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic write: serialize once, checksum the exact bytes that hit
-        # disk, write to a temp file, then rename into place.  A kill at
-        # any instant leaves either no shard file or a complete one whose
-        # checksum the manifest vouches for — never a torn write.
-        payload = records.to_csv_string().encode("utf-8")
-        digest = hashlib.sha256(payload).hexdigest()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-        state = self._manifest.shards[spec.bit]
-        state.status = SHARD_COMPLETED
-        state.attempts = attempts
-        state.duration = duration
-        state.checksum = digest
-        self._manifest.write(self.run_dir)
-
     # -- execution ----------------------------------------------------------
 
     def _resolve_jobs(self, pending_count: int) -> int:
@@ -764,8 +729,14 @@ class CampaignRunner:
     def _finish_shard(self, spec: ShardSpec, records: TrialRecords, duration: float,
                       attempts: int, hooks, shards_total: int, trials_total: int) -> None:
         # Persist before announcing: a hook that raises (or a kill racing
-        # the event) never loses a completed shard.
-        self._persist_shard(spec, records, duration, attempts)
+        # the event) never loses a completed shard.  The done record lands
+        # after the shard file, so it never vouches for a file not on disk.
+        if self.run_dir is not None:
+            checksum = persist_shard_file(self.run_dir, spec.bit, records)
+            write_done_record(
+                self.run_dir, spec.bit, trials=spec.trials, duration=duration,
+                attempts=attempts, checksum=checksum, worker=self._worker_id,
+            )
         self._completed[spec.bit] = records
         self._busy_time += duration
         self._trials_done += spec.trials
@@ -803,37 +774,22 @@ class CampaignRunner:
 
     def _adopt_shard(self, spec: ShardSpec, record: dict, hooks,
                      shards_total: int, trials_total: int) -> None:
-        """Fold a shard completed by another worker process into this run.
+        """Load a shard completed by another worker process into this run.
 
         The work-stealing coordinator trusts nothing it did not compute
-        itself: the shard file is re-read from disk, its exact bytes are
-        checksummed against the completing worker's done record, and the
-        trial count is checked before the manifest adopts the shard.
+        itself: the shard file must pass
+        :func:`repro.runner.verify.load_trusted_shard` against the
+        completing worker's done-record checksum.  The manifest picks
+        the shard up from that done record at the next fold.
         """
-        path = RunManifest.shard_path(self.run_dir, spec.bit)
-        expected = record.get("checksum") or None
-        actual = shard_checksum(path)
-        if expected and actual != expected:
-            raise RunnerError(
-                f"adopted shard bit={spec.bit} fails its done-record checksum "
-                f"(record {expected[:12]}, file {actual[:12]})"
-            )
-        records = self.records_class.read_csv(path)
-        if len(records) != spec.trials:
-            raise RunnerError(
-                f"adopted shard bit={spec.bit} holds {len(records)} trial(s), "
-                f"expected {spec.trials}"
-            )
+        records = load_trusted_shard(
+            RunManifest.shard_path(self.run_dir, spec.bit), self.records_class,
+            checksum=record.get("checksum") or None, trials=spec.trials,
+        )
+        if isinstance(records, ShardProblem):
+            raise RunnerError(f"adopted shard bit={spec.bit}: {records.message}")
         duration = float(record.get("duration") or 0.0)
         attempts = int(record.get("attempts") or 1)
-        if self._manifest is not None:
-            state = self._manifest.shards[spec.bit]
-            state.status = SHARD_COMPLETED
-            state.attempts = attempts
-            state.duration = duration
-            state.checksum = actual
-            state.worker = record.get("worker")
-            self._manifest.write(self.run_dir)
         self._completed[spec.bit] = records
         self._busy_time += duration
         self._trials_done += spec.trials
@@ -956,17 +912,10 @@ def run_status(run_dir: str | os.PathLike) -> RunStatus:
     When the run was profiled (``telemetry.json`` present), the status
     carries the per-phase time breakdown, surfaced by ``summary()``.
     """
-    manifest = RunManifest.load(run_dir)
-    # A work-stealing run's live progress is the manifest's fold plus
-    # the done records workers have dropped since; merging them here
-    # lets ``campaign status``/``watch`` report mid-run progress without
-    # mutating anything.
-    trials_by_bit = {bit: state.trials for bit, state in manifest.shards.items()}
-    done_bits = set(manifest.completed_bits())
-    done_bits.update(bit for bit in read_done_records(run_dir) if bit in trials_by_bit)
+    manifest = load_folded(run_dir)
     missing = tuple(
         bit
-        for bit in sorted(done_bits)
+        for bit in manifest.completed_bits()
         if not RunManifest.shard_path(run_dir, bit).is_file()
     )
     quarantine = quarantine_dir(run_dir)
@@ -982,10 +931,10 @@ def run_status(run_dir: str | os.PathLike) -> RunStatus:
         label=manifest.label,
         status=manifest.status,
         shards_total=len(manifest.shards),
-        shards_done=len(done_bits),
+        shards_done=len(manifest.completed_bits()),
         trials_total=manifest.trials_total,
-        trials_done=sum(trials_by_bit[bit] for bit in done_bits),
-        pending_bits=tuple(sorted(set(trials_by_bit) - done_bits)),
+        trials_done=manifest.trials_done,
+        pending_bits=tuple(manifest.pending_bits()),
         missing_shard_files=missing,
         phase_seconds=snapshot.phase_seconds() if snapshot is not None else None,
         quarantined_files=quarantined,

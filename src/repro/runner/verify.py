@@ -7,9 +7,10 @@ module re-derives every one of those trust relationships from the bytes
 on disk:
 
 * the manifest parses and describes a coherent campaign;
-* every completed shard's file exists, matches its SHA-256 checksum,
-  parses, holds the expected trial count, and records the manifest's
-  fault model;
+* every completed shard — recorded in the manifest or only in a done
+  record a killed run never folded — has a file that exists, matches
+  its SHA-256 checksum, parses, holds the expected trial count, and
+  records the manifest's fault model;
 * the event log parses and reconciles with the manifest's progress;
 * the telemetry snapshot (when present) parses;
 * quarantined files and orphan shard files are surfaced.
@@ -40,7 +41,9 @@ from repro.runner.manifest import (
     SHARD_COMPLETED,
     SHARD_DIR_NAME,
     RunManifest,
+    fold_done_records,
     quarantine_dir,
+    read_completions,
     shard_checksum,
     shard_file_name,
 )
@@ -61,6 +64,45 @@ class Finding:
     def render(self) -> str:
         location = f" [{self.path}]" if self.path else ""
         return f"{self.severity.upper()} ({self.check}){location}: {self.message}"
+
+
+@dataclass(frozen=True)
+class ShardProblem:
+    """Why a shard file cannot be trusted: ``missing``, ``checksum``, or ``content``."""
+
+    kind: str
+    message: str
+
+
+def load_trusted_shard(path: Path, records_class, *, checksum: str | None,
+                       trials: int):
+    """A shard file's records, or the :class:`ShardProblem` that rejects it.
+
+    The one definition of a trustworthy shard file, shared by resume,
+    work-stealing adoption, and ``campaign verify``: it exists, its
+    bytes hash to ``checksum`` (when one is recorded), it parses as
+    ``records_class``, and it holds ``trials`` trials.  Callers decide
+    what a problem means — quarantine, a :class:`RunnerError`, or a
+    :class:`Finding`.
+    """
+    if not path.is_file():
+        return ShardProblem("missing", "shard file is missing")
+    if checksum is not None:
+        actual = shard_checksum(path)
+        if actual != checksum:
+            return ShardProblem(
+                "checksum",
+                f"checksum mismatch: recorded {checksum}, file hashes to {actual}",
+            )
+    try:
+        records = records_class.read_csv(path)
+    except (OSError, ValueError) as error:
+        return ShardProblem("content", f"shard file does not parse ({error})")
+    if len(records) != trials:
+        return ShardProblem(
+            "content", f"holds {len(records)} trial(s), expected {trials}"
+        )
+    return records
 
 
 @dataclass
@@ -191,22 +233,21 @@ def _check_shards(report: VerifyReport, run_dir: Path, manifest: RunManifest) ->
                     Finding(
                         SEVERITY_WARNING,
                         "shard-unexpected",
-                        f"bit {bit} is pending in the manifest but a shard file "
-                        "exists; it will be ignored and recomputed",
+                        f"bit {bit} is pending and has no done record but a "
+                        "shard file exists; it will be ignored and recomputed",
                         rel,
                     )
                 )
             continue
         expected.add(path.name)
         report.shards_checked += 1
-        if not path.is_file():
+        records = load_trusted_shard(
+            path, records_class, checksum=state.checksum, trials=state.trials
+        )
+        if isinstance(records, ShardProblem):
             report.findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    "shard-missing",
-                    f"bit {bit} is marked completed but its shard file is missing",
-                    rel,
-                )
+                Finding(SEVERITY_ERROR, f"shard-{records.kind}",
+                        f"bit {bit} {records.message}", rel)
             )
             continue
         if state.checksum is None:
@@ -219,42 +260,6 @@ def _check_shards(report: VerifyReport, run_dir: Path, manifest: RunManifest) ->
                     rel,
                 )
             )
-        else:
-            actual = shard_checksum(path)
-            if actual != state.checksum:
-                report.findings.append(
-                    Finding(
-                        SEVERITY_ERROR,
-                        "shard-checksum",
-                        f"bit {bit} checksum mismatch: manifest records "
-                        f"{state.checksum}, file hashes to {actual}",
-                        rel,
-                    )
-                )
-                continue
-        try:
-            records = records_class.read_csv(path)
-        except (OSError, ValueError) as error:
-            report.findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    "shard-content",
-                    f"bit {bit} shard file does not parse ({error})",
-                    rel,
-                )
-            )
-            continue
-        if len(records) != state.trials:
-            report.findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    "shard-content",
-                    f"bit {bit} holds {len(records)} trial(s), manifest "
-                    f"records {state.trials}",
-                    rel,
-                )
-            )
-            continue
         _check_shard_fault(report, manifest, records, bit, rel)
     if shard_dir.is_dir():
         for path in sorted(shard_dir.iterdir()):
@@ -483,6 +488,9 @@ def verify_run(run_dir: str | os.PathLike, data=None) -> VerifyReport:
                     MANIFEST_NAME,
                 )
             )
+    # Shards a killed run completed but never folded are audited like
+    # folded ones, against the checksum their writer put in the done record.
+    manifest = fold_done_records(manifest, read_completions(run_dir))
     _check_shards(report, run_dir, manifest)
     _check_events(report, run_dir, manifest)
     _check_telemetry(report, run_dir)

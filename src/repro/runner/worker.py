@@ -10,21 +10,22 @@ submitted campaign through the shared run directory alone.  Its loop:
    from dead workers;
 3. compute the shard (bit-identical regardless of which worker runs it,
    thanks to per-bit ``SeedSequence.spawn`` streams), write the shard
-   CSV atomically with a SHA-256 checksum, write the completion record,
-   append its events to ``events.jsonl``, release the lease;
-4. when every shard has a completion record, fold them into the
-   manifest (:func:`fold_run`) and — if it wins the one-shot
-   ``finalized`` marker — emit the closing ``run_finish`` event.
+   CSV and its done record through the one completion path every
+   executor shares (:func:`repro.runner.manifest.persist_shard_file`,
+   then the done record), append its events to ``events.jsonl``,
+   release the lease;
+4. when every shard has a done record, fold them into the manifest
+   (:func:`repro.runner.manifest.fold_run`) and — if it wins the
+   one-shot ``finalized`` marker — emit the closing ``run_finish`` event.
 
 Workers never write the manifest during execution (concurrent
-read-modify-write would lose shards); :func:`fold_run` derives the
-manifest's shard states purely from the completion records, so folding
-is idempotent and any worker (or a later ``campaign resume``) can do it.
+read-modify-write would lose shards); the fold derives the manifest's
+shard states purely from the done records, so folding is idempotent and
+any worker (or a later ``campaign resume``) can do it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ import numpy as np
 
 from repro.formats import resolve
 from repro.inject.campaign import CampaignConfig, bit_seeds, run_campaign_shard
-from repro.inject.results import TrialRecords
 from repro.metrics.summary import SummaryStats
 from repro.runner.errors import RunnerError
 from repro.runner.events import EventLogWriter, RunnerEvent, dispatch_event
@@ -52,8 +52,9 @@ from repro.runner.leases import (
 from repro.runner.manifest import (
     RUN_COMPLETED,
     RUN_RUNNING,
-    SHARD_COMPLETED,
     RunManifest,
+    fold_run,
+    persist_shard_file,
 )
 from repro.telemetry import (
     MetricsSampler,
@@ -76,76 +77,6 @@ class WorkerResult:
     stolen: int
     status: str  # "completed" | "cancelled" | "idle"
     finalized: bool = False
-
-
-def persist_shard_file(run_dir, bit: int, records: TrialRecords) -> str:
-    """Atomically write one shard CSV; returns its SHA-256 checksum.
-
-    Same discipline as the runner's persistence path: serialize once,
-    checksum the exact bytes that hit disk, write to a temp file, rename
-    into place.  The pid-suffixed temp name keeps concurrent workers
-    that (pathologically) compute the same shard from clobbering each
-    other's temp files — and since shards are bit-identical, whichever
-    rename lands last leaves the same bytes.
-
-    After landing, any *other* temp file for this shard is swept: a
-    worker SIGKILLed mid-write leaves its ``.tmp-<pid>`` behind, and the
-    stealer that recomputes the shard is the natural janitor (``verify``
-    flags unexplained files, so orphans must not linger).  Should the
-    swept temp belong to a live concurrent writer instead, that writer's
-    own rename finds the temp gone but the shard file present with the
-    identical deterministic bytes — which it treats as success.
-    """
-    path = RunManifest.shard_path(run_dir, bit)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = records.to_csv_string().encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_bytes(payload)
-    try:
-        os.replace(tmp, path)
-    except FileNotFoundError:
-        if not path.is_file():
-            raise  # temp vanished and nobody landed the shard: real loss
-    for stale in path.parent.glob(path.name + ".tmp-*"):
-        try:
-            stale.unlink()
-        except OSError:
-            pass
-    return digest
-
-
-def fold_run(run_dir) -> RunManifest:
-    """Fold completion records into the manifest; idempotent.
-
-    Derives every folded shard state purely from the ``leases/`` done
-    records (checksum, duration, attempts, worker), so concurrent folds
-    by racing workers write identical manifests (the write is an atomic
-    replace).  When no shard remains pending the run status advances to
-    completed.  Records whose shard file is missing are skipped — the
-    shard simply stays pending and will be recomputed.
-    """
-    manifest = RunManifest.load(run_dir)
-    records = read_done_records(run_dir)
-    changed = False
-    for bit, record in records.items():
-        state = manifest.shards.get(bit)
-        if state is None or state.status == SHARD_COMPLETED:
-            continue
-        if not RunManifest.shard_path(run_dir, bit).is_file():
-            continue
-        state.status = SHARD_COMPLETED
-        state.checksum = record.get("checksum") or None
-        state.duration = record.get("duration")
-        state.attempts = int(record.get("attempts", 1))
-        state.worker = record.get("worker")
-        changed = True
-    if not manifest.pending_bits() and manifest.status != RUN_COMPLETED:
-        manifest.status = RUN_COMPLETED
-        changed = True
-    if changed:
-        manifest.write(run_dir)
-    return manifest
 
 
 class ShardWorker:

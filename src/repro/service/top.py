@@ -1,10 +1,10 @@
 """``campaign top``: a live, refresh-in-place view of a distributed run.
 
 One :func:`fleet_snapshot` joins everything the run directory already
-records — the manifest, the multi-writer event log, lease files, done
-records, and the per-worker time-series under ``metrics/`` — into a
-single queryable picture: per-worker throughput and RSS, active and
-stolen leases, straggler shards, and stall state.  :func:`render_top`
+records — the manifest folded with the done records, the multi-writer
+event log, lease files, and the per-worker time-series under
+``metrics/`` — into a single queryable picture: per-worker throughput
+and RSS, active and stolen leases, straggler shards, and stall state.  :func:`render_top`
 draws it as a text frame and :func:`campaign_top` refreshes the frame
 in place on a TTY (plain repeated frames on pipes), exiting when the
 run reaches a terminal state.
@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.runner.events import read_event_log
 from repro.runner.leases import active_leases, cancel_requested, read_done_records
-from repro.runner.manifest import RUN_COMPLETED, SHARD_COMPLETED, RunManifest
+from repro.runner.manifest import (
+    RUN_COMPLETED,
+    SHARD_COMPLETED,
+    RunManifest,
+    load_folded,
+)
 from repro.service.watch import detect_stall, throughput_from_events
 from repro.telemetry import read_metrics
 from repro.telemetry.humanize import format_duration
@@ -119,7 +124,7 @@ def fleet_snapshot(
 ) -> FleetSnapshot:
     """Join the run directory's records into one fleet observation."""
     directory = Path(run_dir)
-    manifest = RunManifest.load(directory)
+    manifest = load_folded(directory)
     log_path = RunManifest.event_log_path(directory)
     events = read_event_log(log_path) if log_path.is_file() else []
     now = now if now is not None else time.time()
@@ -164,7 +169,8 @@ def fleet_snapshot(
         durations.append(duration)
         duration_by_bit[bit] = (name, duration)
 
-    # Manifest shard states cover serial/pool runs with no done records.
+    # Manifest shard states cover run directories written before every
+    # executor left done records.
     for bit, state in manifest.shards.items():
         if bit in duration_by_bit or state.duration is None:
             continue
@@ -234,13 +240,6 @@ def fleet_snapshot(
                     }
                 )
 
-    shards_done = max(summary["shards_done"], len(manifest.completed_bits()), len(done))
-    trials_by_bit = {bit: state.trials for bit, state in manifest.shards.items()}
-    done_bits = set(manifest.completed_bits()) | set(done)
-    trials_done = max(
-        summary["trials_done"],
-        sum(trials_by_bit.get(bit, 0) for bit in done_bits),
-    )
     return FleetSnapshot(
         run_dir=str(directory),
         run_id=directory.name,
@@ -248,9 +247,9 @@ def fleet_snapshot(
         status=manifest.status,
         cancelled=cancel_requested(directory),
         generated_at=now,
-        shards_done=shards_done,
+        shards_done=len(manifest.completed_bits()),
         shards_total=len(manifest.shards),
-        trials_done=trials_done,
+        trials_done=manifest.trials_done,
         trials_total=manifest.trials_total,
         trials_per_sec=summary["trials_per_sec"],
         eta_seconds=summary["eta_seconds"],

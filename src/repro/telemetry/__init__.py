@@ -9,7 +9,7 @@ with three layers:
   runs effectively free;
 * **reduction** — :class:`TelemetrySnapshot` merges associatively, so
   fork-pool workers profile their own shards and the runner reduces the
-  shipped snapshots exactly like the streaming metric accumulators;
+  shipped snapshots in any order;
 * **export** (:mod:`repro.telemetry.export` /
   :mod:`repro.telemetry.report`) — a JSON snapshot in the run
   directory, a Prometheus text rendering, and a markdown run report

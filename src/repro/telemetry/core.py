@@ -18,9 +18,8 @@ The design goals mirror the campaign's execution model:
   per *vectorized batch*, not per trial (see ``bench_telemetry.py``);
 * **mergeable** — a :class:`TelemetrySnapshot` is a frozen copy of a
   collector that merges associatively (counters add, span stats
-  combine), the same shard-reduction discipline as
-  :mod:`repro.metrics.streaming`, so fork-pool workers profile their
-  own shards and ship deltas back to the runner;
+  combine) in any order, so fork-pool workers profile their own
+  shards and ship deltas back to the runner;
 * **scoped** — :func:`telemetry_scope` installs a collector as the
   process-wide active one; instrumented library code always reports to
   :func:`get_telemetry` and never needs a handle threaded through.

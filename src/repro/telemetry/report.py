@@ -1,8 +1,8 @@
 """The campaign run report: events + telemetry joined into markdown.
 
 ``render_run_report(run_dir)`` reads the three observability artifacts a
-profiled run leaves behind — ``manifest.json`` (identity + per-shard
-durations), ``events.jsonl`` (the lifecycle flight recorder) and
+profiled run leaves behind — ``manifest.json`` folded with the shards'
+done records (identity + per-shard durations), ``events.jsonl`` (the lifecycle flight recorder) and
 ``telemetry.json`` (counters + span timings from the codec hot path up)
 — and renders one markdown document answering the questions the paper's
 scale forces: where does the wall-clock go (encode/decode vs injection
@@ -143,10 +143,10 @@ def _reconciliation(snapshot: TelemetrySnapshot, manifest, events: list[dict]) -
 def render_run_report(run_dir: str | os.PathLike) -> str:
     """Render the markdown run report for a campaign run directory."""
     from repro.runner.events import read_event_log
-    from repro.runner.manifest import RunManifest
+    from repro.runner.manifest import RunManifest, load_folded
 
     run_dir = Path(run_dir)
-    manifest = RunManifest.load(run_dir)
+    manifest = load_folded(run_dir)
     event_path = RunManifest.event_log_path(run_dir)
     events = read_event_log(event_path) if event_path.is_file() else []
     snapshot = load_run_snapshot(run_dir)

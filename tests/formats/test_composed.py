@@ -1,16 +1,11 @@
-"""Composed-table and numba backends must be bit-identical to direct.
+"""The composed-table backend must be bit-identical to direct.
 
 The composed backend decodes a wide pattern as two table gathers (high
 half selects an affine row, low half indexes into it), so every test
 here is an exact-equality test: exhaustive over the whole pattern space
 for 16-bit formats, stratified samples plus special-value corners at
-32 bits.  The numba backend compiles the same scalar recurrence the
-direct decoder vectorizes; its tests skip when numba is absent but the
-fallback behaviour (warn on explicit request, stay silent for the
-environment override) is pinned either way.
+32 bits.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +13,6 @@ import pytest
 from repro.formats import (
     COMPOSED_MAX_BITS,
     ComposedLUTBackend,
-    numba_available,
     parse_spec,
     resolve,
 )
@@ -104,32 +98,3 @@ class TestComposedEquivalence:
         assert resolve("posit32", backend="composed").backend_name == "composed"
         assert ComposedLUTBackend.backend_name == "composed"
 
-
-class TestNumbaFallback:
-    def test_explicit_request_warns_without_numba(self):
-        if numba_available():
-            pytest.skip("numba installed; fallback path not reachable")
-        with pytest.warns(RuntimeWarning, match="numba"):
-            fmt = parse_spec("posit32", "numba")
-        assert fmt.backend_name == "direct"
-
-    def test_env_override_degrades_silently(self, monkeypatch):
-        if numba_available():
-            pytest.skip("numba installed; fallback path not reachable")
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "numba")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert parse_spec("posit32").backend_name == "direct"
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-class TestNumbaEquivalence:
-    @pytest.mark.parametrize("name", ["posit16", "posit32"])
-    def test_decode_matches_direct(self, name, rng):
-        direct = parse_spec(name, "direct")
-        jitted = parse_spec(name, "numba")
-        assert jitted.backend_name == "numba"
-        patterns = _sample_patterns(direct, rng)
-        assert np.array_equal(
-            _bits_view(direct.from_bits(patterns)), _bits_view(jitted.from_bits(patterns))
-        )

@@ -73,9 +73,13 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_FORMAT_BACKEND", "lut")
         # Quietly degrades for formats too wide to tabulate.
         assert parse_spec("posit32").backend_name == "direct"
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="backend"):
-            parse_spec("posit16")
+        for unknown in ("bogus", "numba"):
+            monkeypatch.setenv("REPRO_FORMAT_BACKEND", unknown)
+            with pytest.raises(ValueError, match="unknown format backend"):
+                parse_spec("posit16")
+            monkeypatch.delenv("REPRO_FORMAT_BACKEND")
+            with pytest.raises(ValueError, match="unknown format backend"):
+                parse_spec("posit16", unknown)
 
 
 class TestResolveEntryPoint:
