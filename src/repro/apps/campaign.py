@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import IO, Sequence
@@ -58,6 +57,7 @@ __all__ = [
     "OUTCOMES",
     "AppCampaignConfig",
     "AppCampaignRunner",
+    "AppShardJob",
     "AppTrialRecords",
     "app_solver_defaults",
     "cell_seeds",
@@ -626,11 +626,22 @@ def run_app_shard(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class AppShardJob:
+    """What one app-campaign cell computes, in any process."""
+
+    config: AppCampaignConfig
+    target: NumberFormat
+
+    def compute(self, cell: int, trials: int, seed) -> AppTrialRecords:
+        return run_app_shard(self.config, self.target, cell, trials, seed)
+
+
 class AppCampaignRunner(CampaignRunner):
     """Campaign runner whose shards are app (iteration, bit) cells.
 
     Inherits persistence, resume, executors, chaos hardening, and
-    observability wholesale; only planning, shard compute, and manifest
+    observability wholesale; only planning, the shard job, and manifest
     identity differ.
     """
 
@@ -664,12 +675,8 @@ class AppCampaignRunner(CampaignRunner):
         manifest.app = self.app_config.manifest_payload()
         return manifest
 
-    def _compute_shard(self, spec: ShardSpec):
-        start = time.perf_counter()
-        records = run_app_shard(
-            self.app_config, self.target, spec.bit, spec.trials, spec.seed
-        )
-        return records, time.perf_counter() - start
+    def _build_job(self) -> AppShardJob:
+        return AppShardJob(self.app_config, self.target)
 
     @classmethod
     def from_run_dir(cls, run_dir, data=None, **kwargs) -> "AppCampaignRunner":

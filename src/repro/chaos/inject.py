@@ -3,8 +3,8 @@
 Two families, matching the two hook points in the runner:
 
 * :func:`fire_compute_faults` runs in the shard compute path (a pool
-  worker or the serial loop) and raises, sleeps, hangs, or kills the
-  worker process;
+  task or the shared attempt loop) and raises, sleeps, hangs, or kills
+  the worker process;
 * :func:`fire_artifact_faults` runs in the parent after a shard
   persists and tears/corrupts run-directory files or SIGKILLs the
   whole process — the disk-rot and power-loss half of the plan.

@@ -175,12 +175,10 @@ def run_campaign(
     resume: bool = False,
     dataset: dict | None = None,
     max_retries: int = 2,
-    shard_timeout: float | None = None,
     heartbeat_timeout: float | None = None,
     chaos=None,
     telemetry=None,
     trace=None,
-    metrics_interval: float = 1.0,
 ) -> CampaignResult:
     """Run a full campaign (see module docstring for the flow).
 
@@ -219,12 +217,11 @@ def run_campaign(
     max_retries:
         Per-shard retry budget before degrading to in-process execution
         (parallel runs) or failing (serial runs).
-    shard_timeout / heartbeat_timeout:
-        Stall detection for pool runs, both measured from the moment a
-        worker claims a shard: ``heartbeat_timeout`` bounds how long a
-        claimed shard may go unfinished before its worker is killed and
-        the shard requeued; ``shard_timeout`` is the per-shard compute
-        budget.  Dead workers are detected immediately either way.
+    heartbeat_timeout:
+        Stall detection for pool runs, measured from the moment a worker
+        claims a shard: a claimed shard unfinished for longer than this
+        has its worker killed and the shard requeued.  Dead workers are
+        detected immediately either way.
     chaos:
         Optional :class:`repro.chaos.FaultPlan` injecting infrastructure
         faults into the run (testing the harness itself; see
@@ -259,12 +256,10 @@ def run_campaign(
         progress=progress,
         dataset=dataset,
         max_retries=max_retries,
-        shard_timeout=shard_timeout,
         heartbeat_timeout=heartbeat_timeout,
         chaos=chaos,
         telemetry=telemetry,
         trace=trace,
-        metrics_interval=metrics_interval,
     )
     return runner.run(resume=resume)
 

@@ -8,15 +8,12 @@ the parallel result is bit-identical to the serial one, regardless of
 worker count or scheduling), and shards are gathered and concatenated in
 bit order.
 
-The public entry point moved to the unified
-:func:`repro.inject.campaign.run_campaign` (``jobs=N``), executed by
-:class:`repro.runner.CampaignRunner` through its
-:class:`repro.runner.executors.PoolExecutor`; this module keeps what the
-pool needs — the fork initializer that shares the dataset with workers
-through a module global (avoiding a per-task pickle of the array),
-spec-string target rehydration, and worker-count resolution.  (The
-long-deprecated ``run_campaign_parallel`` wrapper has been removed; call
-``run_campaign(..., jobs=N)``.)
+The public entry point is :func:`repro.inject.campaign.run_campaign`
+(``jobs=N``), executed by :class:`repro.runner.CampaignRunner` through
+its :class:`repro.runner.executors.PoolExecutor`; this module keeps what
+the pool needs — the fork initializer that shares the run's shard job
+(and the dataset it references) with workers through a module global,
+avoiding a per-task pickle of the array — and worker-count resolution.
 """
 
 from __future__ import annotations
@@ -28,46 +25,24 @@ import warnings
 
 import numpy as np
 
-from repro.formats import resolve
-from repro.inject.campaign import run_campaign_shard
-from repro.inject.results import TrialRecords
-from repro.metrics.summary import SummaryStats
-from repro.telemetry import DISABLED, Telemetry, TelemetrySnapshot, telemetry_scope
+from repro.telemetry import DISABLED, Telemetry, telemetry_scope
 from repro.telemetry.core import _reset_process_stack
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(
-    stored_data: np.ndarray,
-    target_spec: str,
-    baseline: SummaryStats,
-    telemetry_enabled: bool = False,
-    chaos=None,
-    heartbeat=None,
-    fault_spec: str = "single",
-    app=None,
-) -> None:
-    # Targets cross the pool boundary as spec strings, not pickles:
-    # every format's name is a valid spec (posit16es1, binary(8,23),
-    # fixedposit(32,es=2,r=5), ...), so arbitrary parameterized formats
-    # rehydrate in workers — and each worker rebuilds its own codec
-    # tables instead of shipping them.
-    _WORKER_STATE["data"] = stored_data
-    _WORKER_STATE["target"] = resolve(target_spec)
-    _WORKER_STATE["baseline"] = baseline
+def _init_worker(job, telemetry_enabled: bool = False, chaos=None,
+                 heartbeat=None) -> None:
+    # The job (repro.runner.runner.ShardJob or an app job) is what every
+    # shard computes; the fork shares it, and the dataset it references,
+    # copy-on-write.
+    _WORKER_STATE["job"] = job
     _WORKER_STATE["telemetry"] = bool(telemetry_enabled)
     # Chaos fault plan (repro.chaos.FaultPlan) and the heartbeat queue:
     # workers announce claiming/finishing a shard so the parent can tell
     # a hung or dead worker from a queued task and kill + requeue it.
     _WORKER_STATE["chaos"] = chaos
     _WORKER_STATE["heartbeat"] = heartbeat
-    # Fault-model spec crosses the boundary as its canonical string, same
-    # as the target: resolved per shard in run_campaign_shard.
-    _WORKER_STATE["fault"] = fault_spec
-    # App-campaign config (repro.apps.campaign.AppCampaignConfig) when
-    # shards are (iteration, bit) solver cells; None for value campaigns.
-    _WORKER_STATE["app"] = app
     # The fork copied the parent's SIGTERM handler (the runner converts
     # SIGTERM to a checkpointing interrupt); in a worker that handler
     # would make Pool.terminate() raise instead of exit and the shutdown
@@ -77,14 +52,6 @@ def _init_worker(
     # from this process would be silently lost.  Profiled shards collect
     # into a per-task collector in _run_shard_timed and ship snapshots.
     _reset_process_stack(DISABLED)
-
-
-def _unpack_task(args) -> tuple[int, int, np.random.SeedSequence, int]:
-    """Task args with the 0-based attempt (legacy 3-tuples mean attempt 0)."""
-    if len(args) == 3:
-        bit, trials, seed = args
-        return bit, trials, seed, 0
-    return args
 
 
 def _ping(kind: str, bit: int, attempt: int) -> None:
@@ -103,32 +70,14 @@ def _ping(kind: str, bit: int, attempt: int) -> None:
         pass
 
 
-def _run_shard(args) -> TrialRecords:
-    bit, trials, seed, _attempt = _unpack_task(args)
-    app = _WORKER_STATE.get("app")
-    if app is not None:
-        from repro.apps.campaign import run_app_shard
+def _run_shard_timed(task):
+    """Pool task: a shard's records, its compute time, and its telemetry delta.
 
-        return run_app_shard(app, _WORKER_STATE["target"], bit, trials, seed)
-    return run_campaign_shard(
-        _WORKER_STATE["data"],
-        _WORKER_STATE["target"],
-        bit,
-        trials,
-        seed,
-        _WORKER_STATE["baseline"],
-        fault_spec=_WORKER_STATE.get("fault", "single"),
-    )
-
-
-def _run_shard_timed(args) -> tuple[TrialRecords, float, TelemetrySnapshot | None]:
-    """Pool task: a shard, its compute time, and its telemetry delta.
-
+    ``task`` is ``(bit, trials, seed, attempt)`` with a 0-based attempt.
     When the runner profiles, each task records into a private collector
     and ships the frozen snapshot back with the records; the runner
-    merges the deltas shard by shard (same discipline as the streaming
-    metric accumulators), so the reduced totals are identical to a
-    serial run regardless of worker count or scheduling.
+    merges the deltas shard by shard, so the reduced totals are
+    identical to a serial run regardless of worker count or scheduling.
 
     Heartbeats: the task pings "claim" before computing and "done" after,
     so the parent can distinguish a queued task (no claim yet — never
@@ -137,21 +86,22 @@ def _run_shard_timed(args) -> tuple[TrialRecords, float, TelemetrySnapshot | Non
     after the claim ping, so even an injected crash leaves the trace a
     real one would.
     """
-    bit, trials, seed, attempt = _unpack_task(args)
+    bit, trials, seed, attempt = task
     _ping("claim", bit, attempt)
     plan = _WORKER_STATE.get("chaos")
     if plan is not None:
         from repro.chaos import fire_compute_faults
 
         fire_compute_faults(plan, bit, attempt)
+    job = _WORKER_STATE["job"]
     start = time.perf_counter()
     if _WORKER_STATE.get("telemetry"):
         collector = Telemetry()
         with telemetry_scope(collector):
-            records = _run_shard(args)
+            records = job.compute(bit, trials, seed)
         snapshot = collector.snapshot()
     else:
-        records = _run_shard(args)
+        records = job.compute(bit, trials, seed)
         snapshot = None
     elapsed = time.perf_counter() - start
     _ping("done", bit, attempt)

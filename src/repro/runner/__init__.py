@@ -8,8 +8,9 @@ work-stealing across independent processes — see
 :mod:`repro.runner.executors`), persists each completed shard plus its
 done record under a run directory (the JSON manifest is their fold,
 written at start, checkpoint, and finish), emits observable events (hooks, a
-terminal progress renderer, a JSONL event log), retries failed shards
-with backoff, and can resume a partial run to a result bit-identical to
+terminal progress renderer, a JSONL event log), computes every shard
+through one :class:`ShardJob` in every process and retries failed
+shards through one attempt loop with backoff, and can resume a partial run to a result bit-identical to
 an uninterrupted one.  The runner is *policy* (planning, persistence,
 verification, events); executors are *mechanism* (how pending shards
 get computed), and :mod:`repro.runner.worker` lets standalone
@@ -62,6 +63,7 @@ from repro.runner.manifest import (
 from repro.runner.runner import (
     CampaignRunner,
     RunStatus,
+    ShardJob,
     ShardSpec,
     resume_campaign,
     run_status,
@@ -87,6 +89,7 @@ __all__ = [
     "RunnerEvent",
     "RunnerHooks",
     "SerialExecutor",
+    "ShardJob",
     "ShardSpec",
     "ShardState",
     "ShardWorker",

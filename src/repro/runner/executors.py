@@ -42,6 +42,50 @@ from repro.runner.leases import (
 )
 
 
+#: Base of the exponential backoff sleep between attempts of a failing shard.
+RETRY_BACKOFF = 0.05
+
+
+def timed_compute(job, spec):
+    """Compute one shard through the run's job: ``(records, duration)``."""
+    start = time.perf_counter()
+    records = job.compute(spec.bit, spec.trials, spec.seed)
+    return records, time.perf_counter() - start
+
+
+def attempt_shard(spec, compute, *, max_retries: int, chaos, emit, on_retry=None):
+    """Compute one shard, retrying failures: ``(records, duration, attempts)``.
+
+    The one in-process attempt loop, shared by the serial executor, the
+    work-stealing coordinator, and every :class:`ShardWorker`.  Each
+    attempt first fires the chaos plan's compute faults, then calls
+    ``compute(spec) -> (records, duration)``.  A failure emits
+    ``shard_error``, sleeps an exponential backoff, and emits
+    ``shard_retry``; after ``max_retries`` extra attempts it raises
+    :class:`RunnerError` chained to the last failure.
+    """
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            if chaos is not None:
+                from repro.chaos import fire_compute_faults
+
+                fire_compute_faults(chaos, spec.bit, attempts - 1)
+            records, duration = compute(spec)
+            return records, duration, attempts
+        except Exception as error:
+            emit("shard_error", bit=spec.bit, attempt=attempts - 1, error=repr(error))
+            if attempts > max_retries:
+                raise RunnerError(
+                    f"shard for bit {spec.bit} failed after {attempts} attempt(s)"
+                ) from error
+            if on_retry is not None:
+                on_retry()
+            time.sleep(RETRY_BACKOFF * (2 ** (attempts - 1)))
+            emit("shard_retry", bit=spec.bit, attempt=attempts, error=repr(error))
+
+
 def _pid_alive(pid: int) -> bool:
     """Whether a process still exists (signal 0 probe)."""
     try:
@@ -80,38 +124,13 @@ class ExecutionContext:
         return self._runner._effective_jobs
 
     @property
-    def stored(self):
-        return self._runner.stored
-
-    @property
-    def target(self):
-        return self._runner.target
-
-    @property
-    def baseline(self):
-        return self._runner.baseline
-
-    @property
-    def fault_spec(self) -> str:
-        """Canonical fault-model spec of this run (``single`` by default)."""
-        return self._runner.config.fault
-
-    @property
-    def app(self):
-        """App-campaign config when shards are solver cells, else ``None``."""
-        return getattr(self._runner, "app_config", None)
+    def job(self):
+        """What every shard of this run computes (crosses forks as-is)."""
+        return self._runner.job
 
     @property
     def max_retries(self) -> int:
         return self._runner.max_retries
-
-    @property
-    def retry_backoff(self) -> float:
-        return self._runner.retry_backoff
-
-    @property
-    def shard_timeout(self) -> float | None:
-        return self._runner.shard_timeout
 
     @property
     def heartbeat_timeout(self) -> float | None:
@@ -133,7 +152,7 @@ class ExecutionContext:
     @property
     def trace_enabled(self) -> bool:
         """Whether this run is writing distributed-trace spans."""
-        return self._runner._tracer is not None
+        return self._runner._trace is not None
 
     # -- actions ------------------------------------------------------------
 
@@ -161,19 +180,17 @@ class ExecutionContext:
             **kwargs,
         )
 
+    def attempt(self, spec):
+        """Compute one shard in-process through the shared attempt loop."""
+        return attempt_shard(spec, self.compute, max_retries=self.max_retries,
+                             chaos=self.chaos, emit=self.emit,
+                             on_retry=self.note_retry)
+
     def note_retry(self) -> None:
         self._runner._retry_count += 1
 
     def note_hung(self) -> None:
         self._runner._hung_count += 1
-
-    def fire_compute_chaos(self, bit: int, attempt: int) -> None:
-        """In-process chaos compute faults (serial/coordinator path)."""
-        if self.chaos is None:
-            return
-        from repro.chaos import fire_compute_faults
-
-        fire_compute_faults(self.chaos, bit, attempt)
 
 
 class Executor:
@@ -199,24 +216,7 @@ class SerialExecutor(Executor):
     def execute(self, pending, ctx: ExecutionContext) -> None:
         for spec in pending:
             ctx.emit("shard_start", bit=spec.bit)
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    ctx.fire_compute_chaos(spec.bit, attempts - 1)
-                    records, duration = ctx.compute(spec)
-                    break
-                except Exception as error:
-                    ctx.emit("shard_error", bit=spec.bit, attempt=attempts - 1,
-                             error=repr(error))
-                    if attempts > ctx.max_retries:
-                        raise RunnerError(
-                            f"shard for bit {spec.bit} failed after {attempts} attempt(s)"
-                        ) from error
-                    ctx.note_retry()
-                    time.sleep(ctx.retry_backoff * (2 ** (attempts - 1)))
-                    ctx.emit("shard_retry", bit=spec.bit, attempt=attempts,
-                             error=repr(error))
+            records, duration, attempts = ctx.attempt(spec)
             ctx.finish(spec, records, duration, attempts)
 
 
@@ -242,7 +242,7 @@ class PoolExecutor(Executor):
     distinguish three states a blocking design conflates: queued (no
     claim — never times out), computing (claimed, worker alive, within
     budget), and lost (worker dead, or claimed longer than
-    ``heartbeat_timeout`` / ``shard_timeout``).  Lost shards get their
+    ``heartbeat_timeout``).  Lost shards get their
     worker SIGKILLed and re-enter the normal retry path, so a crashed
     or hung worker costs one retry, not the run.
     """
@@ -309,7 +309,7 @@ class PoolExecutor(Executor):
                 fallback(bit)
                 return
             ctx.note_retry()
-            time.sleep(ctx.retry_backoff * (2 ** (run.failures - 1)))
+            time.sleep(RETRY_BACKOFF * (2 ** (run.failures - 1)))
             try:
                 submit(bit)
             except Exception:
@@ -350,9 +350,6 @@ class PoolExecutor(Executor):
                         and age > ctx.heartbeat_timeout):
                     reason = (f"claimed {age:.1f}s ago with no completion "
                               f"(heartbeat_timeout={ctx.heartbeat_timeout:g}s)")
-                elif ctx.shard_timeout is not None and age > ctx.shard_timeout:
-                    reason = (f"running {age:.1f}s "
-                              f"(shard_timeout={ctx.shard_timeout:g}s)")
                 if reason is None:
                     continue
                 ctx.note_hung()
@@ -370,9 +367,7 @@ class PoolExecutor(Executor):
             with context.Pool(
                 processes=ctx.jobs,
                 initializer=_init_worker,
-                initargs=(ctx.stored, ctx.target.name, ctx.baseline,
-                          ctx.telemetry.enabled, ctx.chaos, heartbeats,
-                          ctx.fault_spec, ctx.app),
+                initargs=(ctx.job, ctx.telemetry.enabled, ctx.chaos, heartbeats),
             ) as pool:
                 for spec in pending:
                     runs[spec.bit] = _ShardRun()
@@ -408,20 +403,20 @@ class PoolExecutor(Executor):
             heartbeats.close()
 
 
-def _work_stealing_child(run_dir, stored, target_spec, baseline, lease_timeout,
+def _work_stealing_child(run_dir, job, seeds, max_retries, lease_timeout,
                          poll_interval, chaos, telemetry_enabled=False,
                          trace_enabled=False) -> None:
     """Entry point of a forked in-run work-stealing worker.
 
-    The dataset arrives by fork copy-on-write (never pickled); the
-    target crosses as its spec string, same as pool workers.  SIGTERM
-    and the inherited telemetry collector are reset exactly like
-    :func:`repro.inject.parallel._init_worker` — the fork copied the
-    parent's checkpointing SIGTERM handler and active collector, and
-    neither belongs in a child.  When the parent profiles/traces, the
-    child gets its *own* collector (its snapshot lands beside its done
-    records for the merge-at-read path, never double-counted into the
-    parent's) and its own trace/metrics files.
+    The job (and the dataset it references) arrives by fork
+    copy-on-write, never pickled, together with the run's seeds and
+    attempt budget.  SIGTERM and the inherited telemetry collector are
+    reset exactly like :func:`repro.inject.parallel._init_worker` — the
+    fork copied the parent's checkpointing SIGTERM handler and active
+    collector, and neither belongs in a child.  When the parent
+    profiles/traces, the child gets its *own* collector (its snapshot
+    lands beside its done records for the merge-at-read path, never
+    double-counted into the parent's) and its own trace/metrics files.
     """
     from repro.runner.worker import ShardWorker
     from repro.telemetry import DISABLED
@@ -432,9 +427,9 @@ def _work_stealing_child(run_dir, stored, target_spec, baseline, lease_timeout,
     try:
         ShardWorker(
             run_dir,
-            stored=stored,
-            target=target_spec,
-            baseline=baseline,
+            job=job,
+            seeds=seeds,
+            max_retries=max_retries,
             lease_timeout=lease_timeout,
             poll_interval=poll_interval,
             chaos=chaos,
@@ -492,11 +487,12 @@ class WorkStealingExecutor(Executor):
         run_dir = ctx.run_dir
         worker_id = ctx.worker_id
         workers = self.workers if self.workers is not None else ctx.jobs
+        seeds = {spec.bit: spec.seed for spec in pending}
         context = multiprocessing.get_context("fork")
         children = [
             context.Process(
                 target=_work_stealing_child,
-                args=(run_dir, ctx.stored, ctx.target.name, ctx.baseline,
+                args=(run_dir, ctx.job, seeds, ctx.max_retries,
                       self.lease_timeout, self.poll_interval, ctx.chaos,
                       ctx.telemetry.enabled, ctx.trace_enabled),
                 daemon=True,
@@ -558,9 +554,8 @@ class WorkStealingExecutor(Executor):
                                  error=f"lease of {lease.stolen_from} expired")
                     ctx.emit("shard_claimed", bit=bit, detail=detail)
                     try:
-                        records, duration, attempts = self._compute_with_retries(
-                            spec, ctx, lease
-                        )
+                        with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
+                            records, duration, attempts = ctx.attempt(spec)
                     except BaseException:
                         lease.release()
                         raise
@@ -576,28 +571,6 @@ class WorkStealingExecutor(Executor):
                 if child.is_alive():
                     child.terminate()
                     child.join(timeout=1.0)
-
-    def _compute_with_retries(self, spec, ctx: ExecutionContext, lease):
-        attempts = 0
-        with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
-            while True:
-                attempts += 1
-                try:
-                    ctx.fire_compute_chaos(spec.bit, attempts - 1)
-                    records, duration = ctx.compute(spec)
-                    return records, duration, attempts
-                except Exception as error:
-                    ctx.emit("shard_error", bit=spec.bit, attempt=attempts - 1,
-                             error=repr(error))
-                    if attempts > ctx.max_retries:
-                        raise RunnerError(
-                            f"shard for bit {spec.bit} failed after "
-                            f"{attempts} attempt(s)"
-                        ) from error
-                    ctx.note_retry()
-                    time.sleep(ctx.retry_backoff * (2 ** (attempts - 1)))
-                    ctx.emit("shard_retry", bit=spec.bit, attempt=attempts,
-                             error=repr(error))
 
 
 #: Executor registry: the ``--executor`` CLI choices and the

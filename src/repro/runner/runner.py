@@ -11,6 +11,11 @@ the campaign's seeding discipline: each bit's trial stream comes from an
 independent ``SeedSequence.spawn`` child, so shards can run in any
 order, any number of times, on any worker, and produce the same records.
 
+Every process computes a shard the same way: through the run's shard
+job (:class:`ShardJob` here, :class:`repro.apps.campaign.AppShardJob` for
+app campaigns), which the runner builds once and hands to every executor,
+pool worker, and :class:`repro.runner.worker.ShardWorker`.
+
 Failure handling: a shard that raises in a worker is retried with
 exponential backoff; if the pool itself breaks (or retries are
 exhausted), the shard degrades to in-process execution instead of
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.formats import resolve
+from repro.formats import NumberFormat, resolve
 from repro.inject.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -53,7 +58,7 @@ from repro.runner.events import (
     close_hooks,
     dispatch_event,
 )
-from repro.runner.executors import ExecutionContext, resolve_executor
+from repro.runner.executors import ExecutionContext, resolve_executor, timed_compute
 from repro.runner.leases import (
     active_leases,
     cancel_requested,
@@ -76,13 +81,11 @@ from repro.runner.manifest import (
     quarantine_file,
     read_completions,
 )
+from repro.runner.observe import TraceSession, open_trace_session
 from repro.runner.verify import ShardProblem, load_trusted_shard
 from repro.telemetry import (
-    MetricsSampler,
-    MetricsWriter,
     TelemetrySnapshot,
     TraceContext,
-    TraceWriter,
     format_duration,
     load_run_snapshot,
     resolve_collector,
@@ -99,6 +102,7 @@ __all__ = [
     "ManifestError",
     "RunStatus",
     "RunnerError",
+    "ShardJob",
     "ShardSpec",
     "SignalInterrupt",
     "resume_campaign",
@@ -113,6 +117,26 @@ class ShardSpec:
     bit: int
     trials: int
     seed: np.random.SeedSequence = field(compare=False, hash=False)
+
+
+@dataclass(frozen=True, eq=False)
+class ShardJob:
+    """What one shard of a value campaign computes, in any process.
+
+    Holds references to the runner's round-tripped field and baseline,
+    never copies: forked workers share them copy-on-write.
+    """
+
+    target: NumberFormat
+    stored: np.ndarray
+    baseline: SummaryStats
+    fault: str
+
+    def compute(self, bit: int, trials: int, seed) -> TrialRecords:
+        return run_campaign_shard(
+            self.stored, self.target, bit, trials, seed, self.baseline,
+            fault_spec=self.fault,
+        )
 
 
 @dataclass(frozen=True)
@@ -230,13 +254,6 @@ class CampaignRunner:
         letting ``campaign resume`` regenerate the data.
     max_retries:
         Extra attempts per failed shard before degrading/failing.
-    retry_backoff:
-        Base of the exponential backoff sleep between attempts.
-    shard_timeout:
-        Optional per-shard pool budget in seconds, measured from the
-        moment a worker claims the shard (queued shards never time out);
-        a shard exceeding it has its worker killed and is requeued
-        through the normal retry path.
     heartbeat_timeout:
         Optional staleness limit in seconds for claimed shards.  Pool
         workers heartbeat when they claim and finish a shard; a shard
@@ -266,16 +283,12 @@ class CampaignRunner:
         throughput/RSS/lease points to ``<run_dir>/metrics/<worker>.jsonl``.
         Tracing never touches shard computation: CSVs stay byte-identical
         with it on or off.
-    metrics_interval:
-        Seconds between time-series sample points (default 1.0).
     """
 
     #: Which records class shards produce and shard CSVs parse as.
     #: Subclasses (app campaigns) override to swap the trial schema
     #: without touching persistence, resume, or adoption logic.
     records_class = TrialRecords
-    #: App-campaign configuration; ``None`` for value campaigns.
-    app_config = None
 
     def __init__(
         self,
@@ -291,13 +304,10 @@ class CampaignRunner:
         progress: bool = False,
         dataset: dict | None = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.05,
-        shard_timeout: float | None = None,
         heartbeat_timeout: float | None = None,
         chaos=None,
         telemetry=None,
         trace=None,
-        metrics_interval: float = 1.0,
     ):
         from repro.inject.parallel import validate_jobs
 
@@ -309,14 +319,10 @@ class CampaignRunner:
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.dataset = dataset
         self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError(f"shard_timeout must be positive, got {shard_timeout}")
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
             raise ValueError(
                 f"heartbeat_timeout must be positive, got {heartbeat_timeout}"
             )
-        self.shard_timeout = shard_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.chaos = chaos
         self.telemetry = resolve_collector(telemetry)
@@ -325,7 +331,6 @@ class CampaignRunner:
         # argument lets a resumed run follow its manifest's flag.
         self._trace_arg = trace
         self.trace_enabled = resolve_trace(trace)
-        self.metrics_interval = float(metrics_interval)
 
         self._flat = np.asarray(data).reshape(-1)
         if self._flat.size == 0:
@@ -337,6 +342,7 @@ class CampaignRunner:
             # (and every fork-pool worker) shares one encode and one
             # decode of the field instead of rebuilding per worker.
             field_pipeline(self.target, self.stored)
+        self.job = self._build_job()
 
         if hooks is None:
             hooks = []
@@ -358,10 +364,14 @@ class CampaignRunner:
         self._hung_count = 0
         self._quarantined: list[dict] = []
         self._trace_ctx: TraceContext | None = None
-        self._tracer: TraceWriter | None = None
+        self._trace: TraceSession | None = None
         self._worker_id = default_worker_id()
 
     # -- planning -----------------------------------------------------------
+
+    def _build_job(self):
+        """The shard job every process of this run computes through."""
+        return ShardJob(self.target, self.stored, self.baseline, self.config.fault)
 
     def plan(self) -> list[ShardSpec]:
         """The per-bit shard plan, in ascending bit order."""
@@ -424,40 +434,26 @@ class CampaignRunner:
         if executor.name == "work-stealing":
             self._worker_id += "-coord"
 
-        # Fleet observability: when tracing is on (explicitly, via
-        # REPRO_TRACE, or recorded in a resumed manifest) this process
-        # becomes one trace/metrics writer among the run's workers.
-        # Strictly side-channel — shard computation never sees it.
-        trace_on = self.trace_enabled
-        if not trace_on and self._trace_arg is None and self._manifest is not None:
-            trace_on = self._manifest.trace
-
         owned_hooks = []
+        self._trace = None
         if self._manifest is not None:
             # The run's one start write: status, executor, and tracing
             # choice together.  Shards are not written into the manifest
             # as they finish; checkpoint and finish fold their done records.
             self._manifest.status = RUN_RUNNING
             self._manifest.executor = executor.name
-            self._manifest.trace = self._manifest.trace or trace_on
+            self._manifest.trace = self._manifest.trace or self.trace_enabled
             self._manifest.write(self.run_dir)
             owned_hooks.append(EventLogWriter(RunManifest.event_log_path(self.run_dir)))
-        hooks = self.hooks + owned_hooks
-
-        sampler = None
-        wall_start = time.time()
-        self._trace_ctx = None
-        self._tracer = None
-        if trace_on and self._manifest is not None:
-            self._trace_ctx = TraceContext.for_run(
-                self._manifest.identity(), self.run_dir, worker=self._worker_id
+            # Fleet observability: when tracing is on (explicitly, via
+            # REPRO_TRACE, or recorded in a resumed manifest) this process
+            # becomes one trace/metrics writer among the run's workers.
+            self._trace = open_trace_session(
+                self._trace_arg, self._manifest, self.run_dir, self._worker_id,
+                self.telemetry, self._gauges,
             )
-            self._tracer = TraceWriter(self.run_dir, self._trace_ctx)
-            sampler = MetricsSampler(
-                MetricsWriter(self.run_dir, self._trace_ctx.worker),
-                self._sample_metrics,
-                interval=self.metrics_interval,
-            ).start()
+        self._trace_ctx = self._trace.context if self._trace is not None else None
+        hooks = self.hooks + owned_hooks
 
         # Treat a scheduler's SIGTERM like Ctrl-C: checkpoint, flush,
         # announce, re-raise.  Signal handlers only install from the main
@@ -544,34 +540,13 @@ class CampaignRunner:
         finally:
             if sigterm_installed:
                 signal.signal(signal.SIGTERM, previous_sigterm or signal.SIG_DFL)
-            if sampler is not None:
-                sampler.stop()
-            if self._tracer is not None:
-                ctx = self._trace_ctx
-                wall_end = time.time()
-                self._tracer.emit(
-                    f"worker {ctx.worker}",
-                    ts=wall_start,
-                    duration=wall_end - wall_start,
-                    span_id=ctx.worker_span_id,
-                    parent_id=ctx.run_span_id,
-                    category="worker",
-                    args={"role": "coordinator", "jobs": self._effective_jobs},
+            if self._trace is not None:
+                self._trace.close(
+                    {"role": "coordinator", "jobs": self._effective_jobs},
+                    run_args={"target": self.target.name, "executor": executor.name,
+                              "shards_done": self._shards_done},
                 )
-                self._tracer.emit(
-                    "run",
-                    ts=wall_start,
-                    duration=wall_end - wall_start,
-                    span_id=ctx.run_span_id,
-                    category="run",
-                    args={
-                        "target": self.target.name,
-                        "executor": executor.name,
-                        "shards_done": self._shards_done,
-                    },
-                )
-                self._tracer.close()
-                self._tracer = None
+                self._trace = None
             close_hooks(owned_hooks)
 
     def resume(self) -> CampaignResult:
@@ -675,10 +650,10 @@ class CampaignRunner:
         self._manifest.status = status
         self._manifest.write(self.run_dir)
 
-    def _sample_metrics(self) -> dict:
-        """One time-series point for this process (the sampler callable)."""
+    def _gauges(self) -> dict:
+        """This process's own counters for each time-series point."""
         elapsed = max(time.monotonic() - self._started, 1e-9)
-        point = {
+        return {
             "trials_done": self._trials_done,
             "shards_done": self._shards_done,
             "jobs": self._effective_jobs,
@@ -686,18 +661,6 @@ class CampaignRunner:
                 min(self._busy_time / (elapsed * self._effective_jobs), 1.0), 4
             ),
         }
-        if self.run_dir is not None:
-            try:
-                point["leases_active"] = len(active_leases(self.run_dir))
-            except OSError:
-                pass
-        if self.telemetry.enabled:
-            phases = self.telemetry.snapshot().phase_seconds()
-            if phases:
-                point["phase_seconds"] = {
-                    name: round(seconds, 6) for name, seconds in phases.items()
-                }
-        return point
 
     def _snapshot_telemetry(self) -> TelemetrySnapshot | None:
         """Freeze the collector; persist it when the run has a directory."""
@@ -719,12 +682,7 @@ class CampaignRunner:
         return resolve_worker_count(self.jobs, pending_count)
 
     def _compute_shard(self, spec: ShardSpec) -> tuple[TrialRecords, float]:
-        start = time.perf_counter()
-        records = run_campaign_shard(
-            self.stored, self.target, spec.bit, spec.trials, spec.seed, self.baseline,
-            fault_spec=self.config.fault,
-        )
-        return records, time.perf_counter() - start
+        return timed_compute(self.job, spec)
 
     def _finish_shard(self, spec: ShardSpec, records: TrialRecords, duration: float,
                       attempts: int, hooks, shards_total: int, trials_total: int) -> None:
@@ -741,11 +699,11 @@ class CampaignRunner:
         self._busy_time += duration
         self._trials_done += spec.trials
         self._shards_done += 1
-        if self._tracer is not None:
+        if self._trace is not None:
             # Serial shards (and pool shards, whose anonymous workers
             # can't write their own files) land in the coordinator's
             # trace lane; start time is reconstructed from the duration.
-            self._tracer.shard_span(
+            self._trace.writer.shard_span(
                 bit=spec.bit,
                 attempt=attempts - 1,
                 ts=time.time() - duration,

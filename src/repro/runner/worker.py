@@ -8,8 +8,10 @@ submitted campaign through the shared run directory alone.  Its loop:
 2. claim a still-pending shard via an atomic lease file
    (:func:`repro.runner.leases.try_claim`), stealing expired leases
    from dead workers;
-3. compute the shard (bit-identical regardless of which worker runs it,
-   thanks to per-bit ``SeedSequence.spawn`` streams), write the shard
+3. compute the shard through the run's shard job and the attempt loop
+   every executor shares (:func:`repro.runner.executors.attempt_shard`;
+   bit-identical regardless of which worker runs it, thanks to per-bit
+   ``SeedSequence.spawn`` streams), write the shard
    CSV and its done record through the one completion path every
    executor shares (:func:`repro.runner.manifest.persist_shard_file`,
    then the done record), append its events to ``events.jsonl``,
@@ -31,13 +33,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.formats import resolve
-from repro.inject.campaign import CampaignConfig, bit_seeds, run_campaign_shard
-from repro.metrics.summary import SummaryStats
 from repro.runner.errors import RunnerError
 from repro.runner.events import EventLogWriter, RunnerEvent, dispatch_event
+from repro.runner.executors import attempt_shard, timed_compute
 from repro.runner.leases import (
     DEFAULT_LEASE_TIMEOUT,
     LeaseHeartbeat,
@@ -56,16 +54,9 @@ from repro.runner.manifest import (
     fold_run,
     persist_shard_file,
 )
-from repro.telemetry import (
-    MetricsSampler,
-    MetricsWriter,
-    TraceContext,
-    TraceWriter,
-    resolve_collector,
-    resolve_trace,
-    telemetry_scope,
-    write_worker_snapshot,
-)
+from repro.runner.observe import TraceSession, open_trace_session
+from repro.runner.runner import CampaignRunner, ShardSpec
+from repro.telemetry import resolve_collector, telemetry_scope, write_worker_snapshot
 
 
 @dataclass(frozen=True)
@@ -89,12 +80,13 @@ class ShardWorker:
     worker_id:
         Identity recorded in leases, done records, and events; defaults
         to ``<hostname>-<pid>``.
-    stored / target / baseline:
-        The round-tripped dataset, target (format or spec string), and
-        baseline stats — passed by the in-run executor whose fork
-        already holds them.  When omitted (the standalone ``campaign
-        worker`` path) the dataset is regenerated from the manifest's
-        recorded provenance and round-tripped here.
+    job / seeds:
+        The run's shard job and per-shard seeds — passed together by the
+        in-run executor whose fork already holds them.  When omitted
+        (the standalone ``campaign worker`` path) both come from
+        :meth:`CampaignRunner.from_run_dir`, which regenerates the
+        dataset from the manifest's recorded provenance (value and app
+        campaigns alike).
     lease_timeout:
         Seconds of heartbeat silence before another worker's lease is
         presumed orphaned and stolen.
@@ -105,7 +97,7 @@ class ShardWorker:
     max_idle_seconds:
         Give up after this long without any observable progress across
         the whole run (None = wait forever).  Returns ``status="idle"``.
-    max_retries / retry_backoff:
+    max_retries:
         Per-shard in-worker retry budget, as in the runner.
     chaos:
         Optional fault plan fired before each compute attempt (in-run
@@ -127,8 +119,6 @@ class ShardWorker:
         ``REPRO_TRACE`` and then the manifest's recorded flag (so a
         ``campaign submit --trace`` run is traced by every worker that
         joins it), booleans force it.
-    metrics_interval:
-        Seconds between time-series sample points (default 1.0).
     """
 
     def __init__(
@@ -136,22 +126,21 @@ class ShardWorker:
         run_dir,
         *,
         worker_id: str | None = None,
-        stored: np.ndarray | None = None,
-        target=None,
-        baseline: SummaryStats | None = None,
+        job=None,
+        seeds: dict | None = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         poll_interval: float = 0.2,
         max_claims: int | None = None,
         max_idle_seconds: float | None = None,
         max_retries: int = 2,
-        retry_backoff: float = 0.05,
         chaos=None,
         finalize: bool = True,
         hooks=None,
         telemetry=None,
         trace=None,
-        metrics_interval: float = 1.0,
     ):
+        if (job is None) != (seeds is None):
+            raise ValueError("pass job and seeds together, or neither")
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
         self.run_dir = Path(run_dir)
@@ -161,7 +150,6 @@ class ShardWorker:
         self.max_claims = max_claims
         self.max_idle_seconds = max_idle_seconds
         self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
         self.chaos = chaos
         self.finalize = finalize
         if hooks is None:
@@ -169,24 +157,19 @@ class ShardWorker:
         elif not isinstance(hooks, (list, tuple)):
             hooks = [hooks]
         self.hooks = list(hooks)
-        self._stored = stored
-        self._target = resolve(target) if target is not None else None
-        self._baseline = baseline
+        self.job = job
+        self.seeds = seeds
         self._failed: set[int] = set()
-        self._fault_spec = "single"  # replaced from the manifest in _load
-        self._app_config = None  # set in _load for app-campaign runs
         self._started = 0.0
         self.telemetry = resolve_collector(telemetry)
         self._trace_arg = trace
-        self.metrics_interval = float(metrics_interval)
-        self._trace_ctx: TraceContext | None = None
-        self._tracer: TraceWriter | None = None
+        self._trace: TraceSession | None = None
         self._my_claims = 0
         self._my_trials = 0
 
     # -- setup --------------------------------------------------------------
 
-    def _load(self) -> tuple[RunManifest, dict]:
+    def _load(self) -> RunManifest:
         manifest = RunManifest.load(self.run_dir)
         if manifest.status == RUN_RUNNING and manifest.executor not in (
             None, "work-stealing",
@@ -196,37 +179,15 @@ class ShardWorker:
                 f"{manifest.executor!r} executor, which does not coordinate "
                 "through leases; a work-stealing worker cannot join it"
             )
-        if self._target is None:
-            self._target = resolve(manifest.target_spec)
-        if self._stored is None:
-            from repro.runner.runner import _regenerate_dataset
-
-            flat = np.asarray(_regenerate_dataset(manifest)).reshape(-1)
-            self._stored = self._target.round_trip(flat)
-        if self._baseline is None:
-            self._baseline = SummaryStats.from_array(self._stored)
-        self._fault_spec = manifest.fault
-        if manifest.app is not None:
-            # App campaign: shards are (iteration, bit) cells whose seeds
-            # are a pure function of (seed, iteration, bit), so this
-            # worker replays any cell byte-identically to any other.
-            from repro.apps.campaign import AppCampaignConfig, cell_seeds
-
-            self._app_config = AppCampaignConfig.from_manifest(manifest)
-            return manifest, cell_seeds(self._app_config, self._target)
-        config = CampaignConfig(
-            trials_per_bit=manifest.trials_per_bit,
-            bits=manifest.bits,
-            seed=manifest.seed,
-            fault=manifest.fault,
-        )
-        self._fault_spec = config.fault
-        seeds = bit_seeds(config, self._target)
-        return manifest, seeds
+        if self.job is None:
+            runner = CampaignRunner.from_run_dir(self.run_dir, telemetry=self.telemetry)
+            self.job = runner.job
+            self.seeds = {spec.bit: spec.seed for spec in runner.plan()}
+        return manifest
 
     # -- events -------------------------------------------------------------
 
-    def _emit(self, log, kind: str, *, bit: int | None = None,
+    def _emit(self, log, kind: str, *, bit: int | None = None, attempt: int = 0,
               shards_done: int = 0, shards_total: int = 0,
               trials_done: int = 0, trials_total: int = 0,
               error: str | None = None, detail: dict | None = None) -> None:
@@ -236,12 +197,13 @@ class ShardWorker:
             kind=kind,
             elapsed=round(max(time.monotonic() - self._started, 0.0), 6),
             bit=bit,
+            attempt=attempt,
             shards_done=shards_done,
             shards_total=shards_total,
             trials_done=trials_done,
             trials_total=trials_total,
             error=error,
-            trace_id=self._trace_ctx.trace_id if self._trace_ctx else None,
+            trace_id=self._trace.context.trace_id if self._trace else None,
             detail=detail,
         )
         for hook in [log, *self.hooks]:
@@ -259,71 +221,32 @@ class ShardWorker:
         its own files under ``trace/`` and ``metrics/``.
         """
         self._started = time.monotonic()
-        wall_start = time.time()
-        sampler = None
         result: WorkerResult | None = None
         try:
             with telemetry_scope(self.telemetry):
-                manifest, seeds = self._load()
-                trace_on = resolve_trace(self._trace_arg) or (
-                    self._trace_arg is None and manifest.trace
+                manifest = self._load()
+                self._trace = open_trace_session(
+                    self._trace_arg, manifest, self.run_dir, self.worker_id,
+                    self.telemetry,
+                    lambda: {"trials_done": self._my_trials,
+                             "shards_done": self._my_claims},
                 )
-                if trace_on:
-                    self._trace_ctx = TraceContext.for_run(
-                        manifest.identity(), self.run_dir, worker=self.worker_id
-                    )
-                    self._tracer = TraceWriter(self.run_dir, self._trace_ctx)
-                    sampler = MetricsSampler(
-                        MetricsWriter(self.run_dir, self.worker_id),
-                        self._sample_metrics,
-                        interval=self.metrics_interval,
-                    ).start()
-                result = self._run_loop(manifest, seeds)
+                result = self._run_loop(manifest)
                 return result
         finally:
-            if sampler is not None:
-                sampler.stop()
             if self.telemetry.enabled:
                 snapshot = self.telemetry.snapshot()
                 if not snapshot.empty:
                     write_worker_snapshot(snapshot, self.run_dir, self.worker_id)
-            if self._tracer is not None:
-                ctx = self._trace_ctx
-                self._tracer.emit(
-                    f"worker {ctx.worker}",
-                    ts=wall_start,
-                    duration=time.time() - wall_start,
-                    span_id=ctx.worker_span_id,
-                    parent_id=ctx.run_span_id,
-                    category="worker",
-                    args={
-                        "role": "standalone" if self.finalize else "forked",
-                        "claims": result.claims if result else self._my_claims,
-                        "status": result.status if result else "error",
-                    },
-                )
-                self._tracer.close()
-                self._tracer = None
+            if self._trace is not None:
+                self._trace.close({
+                    "role": "standalone" if self.finalize else "forked",
+                    "claims": result.claims if result else self._my_claims,
+                    "status": result.status if result else "error",
+                })
+                self._trace = None
 
-    def _sample_metrics(self) -> dict:
-        """One time-series point for this worker (the sampler callable)."""
-        point = {
-            "trials_done": self._my_trials,
-            "shards_done": self._my_claims,
-        }
-        try:
-            point["leases_active"] = len(active_leases(self.run_dir))
-        except OSError:
-            pass
-        if self.telemetry.enabled:
-            phases = self.telemetry.snapshot().phase_seconds()
-            if phases:
-                point["phase_seconds"] = {
-                    name: round(seconds, 6) for name, seconds in phases.items()
-                }
-        return point
-
-    def _run_loop(self, manifest: RunManifest, seeds: dict) -> WorkerResult:
+    def _run_loop(self, manifest: RunManifest) -> WorkerResult:
         shards_total = len(manifest.shards)
         trials_total = manifest.trials_total
         already = set(manifest.completed_bits())
@@ -384,9 +307,9 @@ class ShardWorker:
                                    detail={"stolen_from": lease.stolen_from},
                                    **counts)
                     self._emit(log, "shard_claimed", bit=bit, **counts)
-                    outcome = self._run_shard(log, lease, bit,
-                                              manifest.shards[bit].trials,
-                                              seeds[bit], counts)
+                    spec = ShardSpec(bit=bit, trials=manifest.shards[bit].trials,
+                                     seed=self.seeds[bit])
+                    outcome = self._run_shard(log, lease, spec, counts)
                     lease.release()
                     if outcome:
                         claims += 1
@@ -419,42 +342,21 @@ class ShardWorker:
         return WorkerResult(worker=self.worker_id, claims=claims,
                             stolen=stolen, status=status, finalized=finalized)
 
-    def _run_shard(self, log, lease, bit: int, trials: int, seed, counts) -> bool:
+    def _run_shard(self, log, lease, spec: ShardSpec, counts) -> bool:
         """Compute + persist one claimed shard; False if retries exhausted."""
-        attempts = 0
+        bit = spec.bit
         with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
-            while True:
-                attempts += 1
-                try:
-                    if self.chaos is not None:
-                        from repro.chaos import fire_compute_faults
-
-                        fire_compute_faults(self.chaos, bit, attempts - 1)
-                    start = time.perf_counter()
-                    if self._app_config is not None:
-                        from repro.apps.campaign import run_app_shard
-
-                        records = run_app_shard(
-                            self._app_config, self._target, bit, trials, seed,
-                        )
-                    else:
-                        records = run_campaign_shard(
-                            self._stored, self._target, bit, trials, seed,
-                            self._baseline, fault_spec=self._fault_spec,
-                        )
-                    duration = time.perf_counter() - start
-                    break
-                except Exception as error:
-                    self._emit(log, "shard_error", bit=bit,
-                               error=repr(error), **counts)
-                    if attempts > self.max_retries:
-                        # Leave the shard for a healthier worker; only if
-                        # nobody else can take it does the loop raise.
-                        self._failed.add(bit)
-                        return False
-                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
-                    self._emit(log, "shard_retry", bit=bit,
-                               error=repr(error), **counts)
+            try:
+                records, duration, attempts = attempt_shard(
+                    spec, lambda spec: timed_compute(self.job, spec),
+                    max_retries=self.max_retries, chaos=self.chaos,
+                    emit=lambda kind, **kwargs: self._emit(log, kind, **kwargs, **counts),
+                )
+            except RunnerError:
+                # Leave the shard for a healthier worker; only if nobody
+                # else can take it does the claim loop raise.
+                self._failed.add(bit)
+                return False
             checksum = persist_shard_file(self.run_dir, bit, records)
             write_done_record(
                 self.run_dir, bit,
@@ -463,15 +365,15 @@ class ShardWorker:
             )
             self._my_claims += 1
             self._my_trials += len(records)
-            if self._tracer is not None:
-                self._tracer.shard_span(
+            if self._trace is not None:
+                self._trace.writer.shard_span(
                     bit=bit,
                     attempt=attempts - 1,
                     ts=time.time() - duration,
                     duration=duration,
                     args={"trials": len(records)},
                 )
-            self._emit(log, "shard_finish", bit=bit,
+            self._emit(log, "shard_finish", bit=bit, attempt=attempts - 1,
                        detail={"duration": round(duration, 6)},
                        **{**counts, "shards_done": counts["shards_done"] + 1,
                           "trials_done": counts["trials_done"] + len(records)})

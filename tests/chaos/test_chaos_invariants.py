@@ -53,6 +53,26 @@ class TestComputeFaults:
         assert any(e.bit == 3 and e.attempt == 0 for e in errors)
         assert "shard_retry" in hooks.kinds()
 
+    def test_worker_raise_work_stealing_honours_max_retries(
+        self, chaos_field, chaos_config, fault_free, tmp_path
+    ):
+        # Forked work-stealing children get the run's attempt budget, so
+        # whichever process claims bit 3 recovers on its fourth attempt
+        # instead of giving up after three and leaving it to be redone.
+        run_dir = tmp_path / "stealing"
+        plan = FaultPlan([FaultSpec("worker-raise", bits=(3,), max_attempt=2)], seed=1)
+        result = run_campaign(
+            chaos_field, "posit8", chaos_config, executor="work-stealing",
+            jobs=2, run_dir=run_dir, chaos=plan, max_retries=3,
+        )
+        assert_records_identical(result.records, fault_free.records)
+        errors = [
+            event
+            for event in read_event_log(run_dir / "events.jsonl")
+            if event["kind"] == "shard_error" and event["bit"] == 3
+        ]
+        assert len(errors) == 3
+
     def test_worker_crash_is_detected_and_requeued(
         self, chaos_field, chaos_config, fault_free, tmp_path
     ):

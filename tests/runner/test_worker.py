@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultSpec
 from repro.datasets.registry import get as get_preset
 from repro.inject.campaign import CampaignConfig, run_campaign
 from repro.runner import (
@@ -23,7 +24,7 @@ from repro.runner import (
     run_worker,
     verify_run,
 )
-from repro.runner.leases import try_claim
+from repro.runner.leases import read_done_records, try_claim
 from repro.runner.manifest import RUN_COMPLETED, RUN_RUNNING
 from repro.runner.runner import CampaignRunner
 from repro.runner.worker import ShardWorker, fold_run
@@ -143,6 +144,24 @@ class TestSingleWorker:
                             max_idle_seconds=0.3, lease_timeout=60.0)
         assert result.status == "idle"
         assert result.claims == 0
+
+
+class TestRetryExhaustion:
+    def test_exhausted_shard_is_left_for_a_healthier_worker(self, tmp_path):
+        run_dir = tmp_path / "run"
+        _submit(run_dir, bits=(0, 1, 2, 3))
+        plan = FaultPlan([FaultSpec("worker-raise", bits=(2,), max_attempt=9)])
+        with pytest.raises(RunnerError, match=r"bit\(s\) \[2\]"):
+            run_worker(run_dir, worker_id="sick", poll_interval=0.02,
+                       chaos=plan, max_retries=1)
+        assert sorted(read_done_records(run_dir)) == [0, 1, 3]
+        errors = [e for e in _events(run_dir) if e["kind"] == "shard_error"]
+        assert [(e["bit"], e["attempt"]) for e in errors] == [(2, 0), (2, 1)]
+
+        healthy = run_worker(run_dir, worker_id="healthy", poll_interval=0.02)
+        assert healthy.claims == 1
+        assert healthy.finalized is True
+        assert not verify_run(run_dir).errors
 
 
 class TestTwoWorkersCooperate:
