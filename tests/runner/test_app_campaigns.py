@@ -10,6 +10,7 @@ campaigns: any drift in solver, injection, or classification shows up
 here, not in the field.
 """
 
+import hashlib
 import json
 import multiprocessing
 from pathlib import Path
@@ -30,6 +31,18 @@ from tests.runner.test_resume import KillAfter
 from tests.runner.test_runner import assert_records_identical
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+# sha256 of each shard CSV of the app-campaign-cg.json golden config
+# (cg, grid 8, iterations (2, 5), bits (0, 7, 15), 2 trials/cell, seed
+# 2023) on posit16, keyed by cell id.
+GOLDEN_APP_SHARDS = {
+    0: "9dfd0160f1bb0772bff8884e3fe0c5d69673d4072f42091a94187fa59c17e597",
+    7: "74fa8c638c40e1c9bd0c0ae047ed7fe83b53fbd30ff66bfb8bad89ee552e72c6",
+    15: "e7795743f1db7e35fbcaaa0bd8485bb19572974372e39149fc2032325093a942",
+    16: "8118e96e203f5dba024981f2b8e37524de02992b33c0122ad9c49c06a66ce6a1",
+    23: "f15a353642c5a1170720c1cff4ace014094a1c0b9e99200ec9af2021af1fe995",
+    31: "8d40adebe2f74064ef9faebebfff80d833c3ff1a4e16778a86785a78aef3d1c3",
+}
 
 
 def _config(**overrides):
@@ -182,3 +195,15 @@ class TestGoldenOutcomes:
         result = run_app_campaign(config, fixture["target"])
         assert result.trial_count == fixture["trials"]
         assert outcome_counts(result.records) == fixture["outcomes"]
+
+
+class TestGoldenShardBytes:
+    """App shard files are pinned byte for byte, like value shards."""
+
+    def test_shard_csvs_match_golden_checksums(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_app_campaign(_config(fault="single"), "posit16", run_dir=run_dir)
+        shards = _shard_bytes(run_dir)
+        assert sorted(shards) == sorted(GOLDEN_APP_SHARDS)
+        for cell, expected in GOLDEN_APP_SHARDS.items():
+            assert hashlib.sha256(shards[cell]).hexdigest() == expected, f"cell {cell}"
