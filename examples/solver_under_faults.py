@@ -21,11 +21,12 @@ import numpy as np
 from repro.apps import (
     AppCampaignConfig,
     PoissonProblem,
-    cg_fault_outcome,
     jacobi_solve,
     run_app_campaign,
+    run_app_trial,
 )
 from repro.analysis.appsweep import summarize_records
+from repro.inject.faults import FaultMasks
 from repro.reporting import Table, render_table
 
 
@@ -94,16 +95,18 @@ def fault_sweep(problem: PoissonProblem, trials: int, seed: int) -> None:
 def cg_silent_corruption(problem: PoissonProblem) -> None:
     print("== conjugate gradient: the silent-corruption contrast ==")
     source = (problem.grid // 3) * problem.grid + (2 * problem.grid) // 3
+    config = AppCampaignConfig(
+        app="cg", grid=problem.grid, iterations=(3,),
+        max_iterations=4000, tolerance=1e-6,
+    )
+    flip_bit_30 = FaultMasks(xor=1 << 30, set=0, clear=0)
     for target in ("ieee32", "posit32"):
-        outcome = cg_fault_outcome(
-            problem, target, iteration=3, flat_index=source, bit=30,
-            max_iterations=4000, tolerance=1e-6,
-        )
+        outcome = run_app_trial(config, target, 3, source, flip_bit_30)
         print(
             f"  {target}: flip bit 30 of x at iter 3 -> still 'converged' "
-            f"in {outcome['faulty_iterations']} iters (overhead "
-            f"{outcome['iteration_overhead']}), but the answer is off by "
-            f"{outcome['solution_error']:.3e} relative"
+            f"in {outcome.faulty_iterations} iters (overhead "
+            f"{outcome.iteration_overhead}), but the answer is off by "
+            f"{outcome.solution_error:.3e} relative"
         )
     print(
         "  CG's residual recurrence never re-reads x, so the flip is "

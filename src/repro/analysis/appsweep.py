@@ -122,22 +122,16 @@ def summarize_records(
 
 
 def load_app_records(run_dir) -> AppTrialRecords:
-    """Fold every completed shard CSV of an app run directory."""
+    """Every completed, trusted shard of an app run directory, concatenated."""
     from repro.runner.manifest import RunManifest
+    from repro.runner.verify import load_run_records
 
-    manifest = RunManifest.load(run_dir)
-    if manifest.app is None:
+    if RunManifest.load(run_dir).app is None:
         raise ValueError(
             f"run {run_dir} is a value campaign, not an app campaign; "
             "use repro.analysis.aggregate / faultsweep on it"
         )
-    parts = [
-        AppTrialRecords.read_csv(RunManifest.shard_path(run_dir, bit))
-        for bit in manifest.completed_bits()
-    ]
-    if not parts:
-        raise ValueError(f"run {run_dir} has no completed shards to analyze")
-    return AppTrialRecords.concatenate(parts)
+    return load_run_records(run_dir)
 
 
 def summarize_app_run(run_dir) -> AppOutcomeSummary:

@@ -362,19 +362,16 @@ def frontier_from_run_dir(run_dir, **kwargs) -> FrontierCell:
     """The frontier of one completed campaign run directory.
 
     Reads the manifest for the cell's identity (format, fault model) and
-    folds every completed shard CSV; keyword arguments pass through to
-    :func:`fault_frontier`.
+    every completed shard through
+    :func:`repro.runner.verify.load_run_records`, so an untrusted shard
+    raises instead of entering the frontier; keyword arguments pass
+    through to :func:`fault_frontier`.
     """
     from repro.formats import resolve
     from repro.runner.manifest import RunManifest
+    from repro.runner.verify import load_run_records
 
     manifest = RunManifest.load(run_dir)
     fmt = resolve(manifest.target_spec)
-    parts = [
-        TrialRecords.read_csv(RunManifest.shard_path(run_dir, bit))
-        for bit in manifest.completed_bits()
-    ]
-    if not parts:
-        raise ValueError(f"run {run_dir} has no completed shards to analyze")
-    records = TrialRecords.concatenate(parts)
+    records = load_run_records(run_dir)
     return fault_frontier(records, fmt.name, fmt.nbits, manifest.fault, **kwargs)

@@ -11,27 +11,23 @@ from repro.apps.campaign import (
     OUTCOMES,
     AppCampaignConfig,
     AppCampaignRunner,
+    AppTrial,
     AppTrialRecords,
     cell_seeds,
     classify_outcome,
     classify_outcomes,
+    mask_injector,
     run_app_campaign,
     run_app_shard,
+    run_app_trial,
 )
-from repro.apps.krylov import CGResult, cg_fault_outcome, cg_solve, poisson_matvec
-from repro.apps.faulty import (
-    AppFaultOutcome,
-    AppFaultSpec,
-    run_faulty_solve,
-    summarize_outcomes,
-)
+from repro.apps.krylov import CGResult, cg_solve, poisson_matvec
 from repro.apps.stencil import PoissonProblem, SolveResult, jacobi_solve
 
 __all__ = [
     "AppCampaignConfig",
     "AppCampaignRunner",
-    "AppFaultOutcome",
-    "AppFaultSpec",
+    "AppTrial",
     "AppTrialRecords",
     "CGResult",
     "KernelResult",
@@ -39,7 +35,6 @@ __all__ = [
     "PoissonProblem",
     "SolveResult",
     "cell_seeds",
-    "cg_fault_outcome",
     "cg_solve",
     "classify_outcome",
     "classify_outcomes",
@@ -47,10 +42,10 @@ __all__ = [
     "dot_error_comparison",
     "fused_posit_dot",
     "jacobi_solve",
+    "mask_injector",
     "run_app_campaign",
     "run_app_shard",
-    "run_faulty_solve",
+    "run_app_trial",
     "stored_axpy",
     "stored_dot",
-    "summarize_outcomes",
 ]

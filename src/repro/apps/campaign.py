@@ -24,18 +24,19 @@ grammar, and records a typed outcome:
 Cells reuse the integer-keyed shard machinery unchanged: cell id
 ``it_idx * nbits + bit`` is invertible, so manifests, shard files,
 leases, and done-records all work exactly as they do for value
-campaigns.  Seeding is a pure function of (seed, iteration, bit) so
+campaigns.  The shard-file format lives in one module,
+:mod:`repro.inject.results`; this one declares only what is
+app-specific — the record columns, the solvers and their one fault hook
+(:func:`mask_injector`, driven per trial by :func:`run_app_trial`), and
+the outcome taxonomy.  Seeding is a pure function of (seed, iteration, bit) so
 any process — serial, pool worker, or work-stealing worker — replays a
 cell byte-identically.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from repro.inject.faultspec import (
     canonical_fault_spec,
     resolve_fault,
 )
-from repro.inject.results import CSV_SCHEMA_VERSION
+from repro.inject.results import BOOL, FLOAT, INT, OPTIONAL, STR, ColumnarRecords
 from repro.runner.manifest import RunManifest
 from repro.runner.runner import CampaignRunner, RunnerError, ShardSpec
 
@@ -58,12 +59,15 @@ __all__ = [
     "AppCampaignConfig",
     "AppCampaignRunner",
     "AppShardJob",
+    "AppTrial",
     "AppTrialRecords",
     "app_solver_defaults",
     "cell_seeds",
     "classify_outcome",
     "classify_outcomes",
+    "mask_injector",
     "run_app_shard",
+    "run_app_trial",
 ]
 
 #: Outcome taxonomy, listed from best to worst.  Classification picks
@@ -299,32 +303,18 @@ def cell_seeds(
 
 
 # ---------------------------------------------------------------------------
-# Trial records (same columnar CSV discipline as inject.results)
+# Trial records (the shard codec is repro.inject.results.ColumnarRecords)
 # ---------------------------------------------------------------------------
-
-_APP_INT_COLUMNS = (
-    "trial",
-    "cell",
-    "iteration",
-    "bit",
-    "index",
-    "clean_iterations",
-    "faulty_iterations",
-)
-_APP_BOOL_COLUMNS = ("converged", "diverged")
-_APP_FLOAT_COLUMNS = ("solution_error",)
-_APP_STR_COLUMNS = ("outcome",)
-_APP_OPTIONAL_COLUMNS = ("fault_spec",)
-_APP_OPTIONAL_DEFAULTS = {"fault_spec": DEFAULT_FAULT_SPEC}
 
 
 @dataclass
-class AppTrialRecords:
-    """Columnar app-campaign trial results with CSV round-tripping.
+class AppTrialRecords(ColumnarRecords):
+    """Columnar app-campaign trial results.
 
-    Mirrors :class:`repro.inject.results.TrialRecords` byte-for-byte in
-    framing (schema comment, header, ``repr`` float serialization) but
-    carries the solver outcome taxonomy instead of value-error metrics.
+    Shares the shard-file codec of :class:`repro.inject.results.TrialRecords`
+    (schema comment, header, ``repr`` floats) but carries the solver
+    outcome taxonomy instead of value-error metrics.  App shard files
+    are LF-framed; value shards are CRLF.
     """
 
     trial: np.ndarray
@@ -340,153 +330,36 @@ class AppTrialRecords:
     outcome: np.ndarray
     fault_spec: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        lengths = {
-            name: len(getattr(self, name))
-            for name in self.column_names()
-            if getattr(self, name) is not None
-        }
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"column lengths disagree: {lengths}")
+    COLUMNS = {
+        "trial": INT,
+        "cell": INT,
+        "iteration": INT,
+        "bit": INT,
+        "index": INT,
+        "clean_iterations": INT,
+        "faulty_iterations": INT,
+        "converged": BOOL,
+        "diverged": BOOL,
+        "solution_error": FLOAT,
+        "outcome": STR,
+        "fault_spec": OPTIONAL,
+    }
+    LINE_TERMINATOR = "\n"
 
-    @classmethod
-    def column_names(cls) -> list[str]:
-        return [f.name for f in dataclass_fields(cls)]
-
-    def __len__(self) -> int:
-        return len(self.trial)
+    # The end-to-end benchmark traces these two per records class, so
+    # each class binds them in its own namespace.
+    to_csv_string = ColumnarRecords.to_csv_string
+    read_csv = classmethod(ColumnarRecords.read_csv.__func__)
 
     @property
     def iteration_overhead(self) -> np.ndarray:
         return self.faulty_iterations - self.clean_iterations
-
-    @classmethod
-    def empty(cls) -> "AppTrialRecords":
-        return cls(
-            trial=np.empty(0, dtype=np.int64),
-            cell=np.empty(0, dtype=np.int64),
-            iteration=np.empty(0, dtype=np.int64),
-            bit=np.empty(0, dtype=np.int64),
-            index=np.empty(0, dtype=np.int64),
-            clean_iterations=np.empty(0, dtype=np.int64),
-            faulty_iterations=np.empty(0, dtype=np.int64),
-            converged=np.empty(0, dtype=bool),
-            diverged=np.empty(0, dtype=bool),
-            solution_error=np.empty(0, dtype=np.float64),
-            outcome=np.empty(0, dtype="<U16"),
-        )
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["AppTrialRecords"]) -> "AppTrialRecords":
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return cls.empty()
-        columns = {}
-        for name in cls.column_names():
-            if name in _APP_OPTIONAL_COLUMNS:
-                present = [p for p in parts if getattr(p, name) is not None]
-                if not present:
-                    columns[name] = None
-                    continue
-                default = _APP_OPTIONAL_DEFAULTS[name]
-                pieces = [
-                    getattr(p, name)
-                    if getattr(p, name) is not None
-                    else np.full(len(p), default, dtype="<U32")
-                    for p in parts
-                ]
-                columns[name] = np.concatenate(pieces)
-            else:
-                columns[name] = np.concatenate([getattr(p, name) for p in parts])
-        return cls(**columns)
-
-    def select(self, mask: np.ndarray) -> "AppTrialRecords":
-        return type(self)(**{
-            name: (getattr(self, name)[mask] if getattr(self, name) is not None else None)
-            for name in self.column_names()
-        })
 
     def for_bit(self, bit: int) -> "AppTrialRecords":
         return self.select(self.bit == bit)
 
     def for_cell(self, cell: int) -> "AppTrialRecords":
         return self.select(self.cell == cell)
-
-    # -- CSV ----------------------------------------------------------------
-
-    def _active_columns(self) -> list[str]:
-        return [
-            name for name in self.column_names()
-            if name not in _APP_OPTIONAL_COLUMNS or getattr(self, name) is not None
-        ]
-
-    def _write_csv_handle(self, handle: IO[str]) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
-        names = self._active_columns()
-        writer.writerow(names)
-        columns = [getattr(self, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow([
-                repr(float(value))
-                if isinstance(value, (float, np.floating))
-                else (
-                    str(value)
-                    if isinstance(value, (str, np.str_))
-                    else int(value)
-                )
-                for value in row
-            ])
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as handle:
-            self._write_csv_handle(handle)
-
-    def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv_handle(buffer)
-        return buffer.getvalue()
-
-    @classmethod
-    def _read_csv_handle(cls, handle: IO[str]) -> "AppTrialRecords":
-        reader = csv.reader(handle)
-        rows = list(reader)
-        if rows and rows[0] and rows[0][0].startswith("# schema_version="):
-            rows = rows[1:]
-        if not rows:
-            return cls.empty()
-        header, data = rows[0], rows[1:]
-        required = [n for n in cls.column_names() if n not in _APP_OPTIONAL_COLUMNS]
-        valid_headers = [required]
-        for count in range(1, len(_APP_OPTIONAL_COLUMNS) + 1):
-            valid_headers.append(required + list(_APP_OPTIONAL_COLUMNS[:count]))
-        if header not in valid_headers:
-            raise ValueError(f"unexpected app-campaign CSV header: {header}")
-        columns: dict[str, np.ndarray | None] = {
-            name: None for name in _APP_OPTIONAL_COLUMNS
-        }
-        for position, name in enumerate(header):
-            raw = [row[position] for row in data]
-            if name in _APP_INT_COLUMNS:
-                columns[name] = np.array(raw, dtype=np.int64)
-            elif name in _APP_BOOL_COLUMNS:
-                columns[name] = np.array([bool(int(v)) for v in raw], dtype=bool)
-            elif name in _APP_STR_COLUMNS:
-                columns[name] = np.array(raw, dtype="<U16")
-            elif name in _APP_OPTIONAL_COLUMNS:
-                columns[name] = np.array(raw, dtype="<U32")
-            else:
-                columns[name] = np.array(raw, dtype=np.float64)
-        return cls(**columns)
-
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "AppTrialRecords":
-        with open(path, newline="") as handle:
-            return cls._read_csv_handle(handle)
-
-    @classmethod
-    def from_csv_string(cls, text: str) -> "AppTrialRecords":
-        return cls._read_csv_handle(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +409,18 @@ def _clean_solve(config: AppCampaignConfig, target: NumberFormat):
     return _CLEAN_CACHE[key]
 
 
-def _mask_injector(
+def mask_injector(
     iteration: int, flat_index: int, masks: FaultMasks, target: NumberFormat
 ):
-    """Hook that applies pre-drawn fault masks to one live state element.
+    """Solver fault hook: apply ``masks`` to one live state element.
 
-    Masks are drawn from the shard RNG *before* the solve starts, so
-    the injection is a pure function of (seed, iteration, bit) and
-    never depends on solver state — the property cross-process replay
-    requires.
+    At solver iteration ``iteration`` the element at ``flat_index`` is
+    encoded in ``target``, corrupted by the masks, and decoded back; every
+    other iteration passes the state through.  A single flip of bit ``b``
+    is ``FaultMasks(xor=1 << b, set=0, clear=0)``.  Campaigns draw masks
+    from the shard RNG *before* the solve starts, so the injection is a
+    pure function of (seed, iteration, bit) and never depends on solver
+    state — the property cross-process replay requires.
     """
 
     def hook(step: int, state: np.ndarray) -> np.ndarray:
@@ -557,6 +433,49 @@ def _mask_injector(
         return flat.reshape(state.shape)
 
     return hook
+
+
+@dataclass(frozen=True)
+class AppTrial:
+    """One faulty solve compared against the clean solve of its config."""
+
+    clean_iterations: int
+    faulty_iterations: int
+    converged: bool
+    diverged: bool
+    solution_error: float  # relative L2 vs the clean solution
+
+    @property
+    def iteration_overhead(self) -> int:
+        """Extra iterations the faulty solve needed."""
+        return self.faulty_iterations - self.clean_iterations
+
+
+def run_app_trial(
+    config: AppCampaignConfig,
+    target: NumberFormat | str,
+    iteration: int,
+    flat_index: int,
+    masks: FaultMasks,
+) -> AppTrial:
+    """Solve once with :func:`mask_injector` at (iteration, flat_index, masks).
+
+    The result is compared against the memoized fault-free solve of
+    ``config``.  ``iteration`` need not be in ``config.iterations``: the
+    config supplies the app, grid, and solver budget.
+    """
+    target = resolve(target)
+    clean = _clean_solve(config, target)
+    faulty = _solve(
+        config, target, fault_hook=mask_injector(iteration, flat_index, masks, target)
+    )
+    return AppTrial(
+        clean_iterations=clean.iterations,
+        faulty_iterations=faulty.iterations,
+        converged=faulty.converged,
+        diverged=faulty.diverged,
+        solution_error=faulty.error_vs(clean.solution),
+    )
 
 
 def run_app_shard(
@@ -581,20 +500,15 @@ def run_app_shard(
     indices = rng.integers(0, state_size, size=trials)
     trial_masks = [model.masks((), target.nbits, rng) for _ in range(trials)]
 
-    clean = _clean_solve(config, target)
-    converged = np.empty(trials, dtype=bool)
-    diverged = np.empty(trials, dtype=bool)
-    faulty_iterations = np.empty(trials, dtype=np.int64)
-    solution_error = np.empty(trials, dtype=np.float64)
-    for trial in range(trials):
-        hook = _mask_injector(iteration, int(indices[trial]), trial_masks[trial], target)
-        faulty = _solve(config, target, fault_hook=hook)
-        converged[trial] = faulty.converged
-        diverged[trial] = faulty.diverged
-        faulty_iterations[trial] = faulty.iterations
-        solution_error[trial] = faulty.error_vs(clean.solution)
-
-    clean_iterations = np.full(trials, clean.iterations, dtype=np.int64)
+    results = [
+        run_app_trial(config, target, iteration, int(indices[trial]), trial_masks[trial])
+        for trial in range(trials)
+    ]
+    converged = np.array([r.converged for r in results], dtype=bool)
+    diverged = np.array([r.diverged for r in results], dtype=bool)
+    faulty_iterations = np.array([r.faulty_iterations for r in results], dtype=np.int64)
+    solution_error = np.array([r.solution_error for r in results], dtype=np.float64)
+    clean_iterations = np.array([r.clean_iterations for r in results], dtype=np.int64)
     outcome = classify_outcomes(
         converged,
         diverged,

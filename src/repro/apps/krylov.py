@@ -128,39 +128,3 @@ def cg_solve(
     result.solution = x
     return result
 
-
-def cg_fault_outcome(
-    problem: PoissonProblem,
-    target: NumberFormat | str,
-    iteration: int,
-    flat_index: int,
-    bit: int,
-    max_iterations: int = 500,
-    tolerance: float = 1e-8,
-) -> dict:
-    """Clean-vs-faulty CG comparison for one injected flip.
-
-    Returns {clean_iterations, faulty_iterations, converged, diverged,
-    solution_error, iteration_overhead}.
-    """
-    if isinstance(target, str):
-        target = resolve(target)
-
-    def hook(i: int, state: np.ndarray) -> np.ndarray:
-        if i != iteration:
-            return state
-        flat = state.reshape(-1).copy()
-        bits = target.to_bits(flat[flat_index : flat_index + 1])
-        flat[flat_index] = target.from_bits(bits ^ bits.dtype.type(1 << bit))[0]
-        return flat.reshape(state.shape)
-
-    clean = cg_solve(problem, target, max_iterations, tolerance)
-    faulty = cg_solve(problem, target, max_iterations, tolerance, fault_hook=hook)
-    return {
-        "clean_iterations": clean.iterations,
-        "faulty_iterations": faulty.iterations,
-        "converged": faulty.converged,
-        "diverged": faulty.diverged,
-        "solution_error": faulty.error_vs(clean.solution),
-        "iteration_overhead": faulty.iterations - clean.iterations,
-    }

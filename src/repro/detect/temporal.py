@@ -108,20 +108,24 @@ class DetectionOutcome:
 def evaluate_on_jacobi(
     problem,
     target,
-    spec,
+    iteration: int,
+    flat_index: int,
+    bit: int,
     detector: LinearExtrapolationDetector | None = None,
     max_iterations: int = 600,
     tolerance: float = 1e-7,
 ) -> DetectionOutcome:
     """Run a faulty Jacobi solve with the detector watching the state.
 
-    Parameters mirror :func:`repro.apps.faulty.run_faulty_solve`; the
+    Bit ``bit`` of state element ``flat_index`` flips after sweep
+    ``iteration``, through :func:`repro.apps.campaign.mask_injector`; the
     detector observes every post-sweep state (after the fault hook, like
     a memory scrubber would see it).
     """
-    from repro.apps.faulty import _state_flipper
+    from repro.apps.campaign import mask_injector
     from repro.apps.stencil import jacobi_solve
     from repro.formats import resolve
+    from repro.inject.faults import FaultMasks
 
     if isinstance(target, str):
         target = resolve(target)
@@ -129,25 +133,27 @@ def evaluate_on_jacobi(
         detector = LinearExtrapolationDetector()
     detector.reset()
 
-    flipper = _state_flipper(spec, target)
+    flipper = mask_injector(
+        iteration, flat_index, FaultMasks(xor=1 << bit, set=0, clear=0), target
+    )
     detection: dict = {"iteration": None, "index_correct": False, "false_before": 0}
 
-    def hook(iteration: int, state: np.ndarray) -> np.ndarray:
-        corrupted = flipper(iteration, state)
+    def hook(step: int, state: np.ndarray) -> np.ndarray:
+        corrupted = flipper(step, state)
         flags = detector.observe(corrupted)
         if np.any(flags):
-            if iteration < spec.iteration:
+            if step < iteration:
                 detection["false_before"] += int(np.sum(flags))
             elif detection["iteration"] is None:
-                detection["iteration"] = iteration
-                detection["index_correct"] = bool(flags[spec.flat_index])
+                detection["iteration"] = step
+                detection["index_correct"] = bool(flags[flat_index])
         return corrupted
 
     jacobi_solve(problem, target, max_iterations, tolerance, fault_hook=hook)
     return DetectionOutcome(
-        injected_iteration=spec.iteration,
-        injected_index=spec.flat_index,
-        bit=spec.bit,
+        injected_iteration=iteration,
+        injected_index=flat_index,
+        bit=bit,
         detected=detection["iteration"] is not None,
         detection_iteration=detection["iteration"],
         detection_index_correct=detection["index_correct"],
@@ -166,18 +172,13 @@ def detection_sweep(
     tolerance: float = 1e-7,
 ) -> list[DetectionOutcome]:
     """Evaluate detection across a set of bit positions (one fault each)."""
-    from repro.apps.faulty import AppFaultSpec
-
     if flat_index is None:
         flat_index = (problem.grid // 2) * problem.grid + problem.grid // 2
-    outcomes = []
-    for bit in bits:
-        spec = AppFaultSpec(iteration=iteration, flat_index=flat_index, bit=int(bit))
-        outcomes.append(
-            evaluate_on_jacobi(
-                problem, target, spec,
-                LinearExtrapolationDetector(theta=theta),
-                max_iterations, tolerance,
-            )
+    return [
+        evaluate_on_jacobi(
+            problem, target, iteration, flat_index, int(bit),
+            LinearExtrapolationDetector(theta=theta),
+            max_iterations, tolerance,
         )
-    return outcomes
+        for bit in bits
+    ]

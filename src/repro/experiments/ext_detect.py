@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.campaign import classify_outcome
-from repro.apps.faulty import AppFaultSpec, run_faulty_solve
+from repro.apps.campaign import AppCampaignConfig, classify_outcome, run_app_trial
 from repro.apps.stencil import PoissonProblem
 from repro.detect.temporal import detection_sweep
 from repro.experiments.base import ExperimentOutput, ExperimentParams, register_experiment
+from repro.inject.faults import FaultMasks
 from repro.reporting.series import Table
 
 GRID = 12
@@ -41,6 +41,10 @@ def run(params: ExperimentParams) -> ExperimentOutput:
     )
     problem = PoissonProblem(grid=GRID)
     center = (GRID // 2) * GRID + GRID // 2
+    solver = AppCampaignConfig(
+        app="jacobi", grid=GRID, iterations=(INJECT_AT,),
+        max_iterations=4000, tolerance=1e-7, sdc_threshold=1e-2,
+    )
 
     table = Table(
         title="Detection and undetected damage per bit position band",
@@ -68,17 +72,16 @@ def run(params: ExperimentParams) -> ExperimentOutput:
         for outcome in outcomes:
             if outcome.detected:
                 continue
-            result = run_faulty_solve(
-                problem, target,
-                AppFaultSpec(iteration=INJECT_AT, flat_index=center, bit=outcome.bit),
-                max_iterations=4000, tolerance=1e-7,
+            result = run_app_trial(
+                solver, target, INJECT_AT, center,
+                FaultMasks(xor=1 << outcome.bit, set=0, clear=0),
             )
             label = classify_outcome(
                 result.converged,
                 result.diverged,
                 result.iteration_overhead,
                 result.solution_error,
-                1e-2,
+                solver.sdc_threshold,
             )
             labels[label] = labels.get(label, 0) + 1
             if np.isfinite(result.solution_error):

@@ -1,9 +1,15 @@
-"""Columnar trial records and CSV round-trip.
+"""Columnar trial records and the one shard-file codec.
 
 The paper logs one CSV row per trial for offline analysis; this module is
 that log.  Records are columnar NumPy arrays (not per-trial objects) so a
 full campaign — hundreds of thousands of trials — stays cheap to build,
 merge, filter, and aggregate.
+
+:class:`ColumnarRecords` is the whole shard-file format: length checks,
+merging, filtering, and the CSV writer and reader.  Every records class —
+:class:`TrialRecords` here and ``repro.apps.campaign.AppTrialRecords`` —
+declares only its dataclass fields, a column → kind table, and its
+domain filters, so the format lives in this module alone.
 """
 
 from __future__ import annotations
@@ -13,38 +19,170 @@ import io
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 #: Column order of the CSV schema, version-stamped for forward compat.
 CSV_SCHEMA_VERSION = 1
 
-_FLOAT_COLUMNS = (
-    "original",
-    "faulty",
-    "abs_err",
-    "rel_err",
-    "range_rel_err",
-    "mse",
-    "faulty_mean",
-    "faulty_std",
-    "faulty_max",
-    "faulty_min",
-)
-_INT_COLUMNS = ("trial", "bit", "index", "field", "regime_k")
-_BOOL_COLUMNS = ("non_finite",)
+#: Column kinds a records class declares in its ``COLUMNS`` table.
+#: ``OPTIONAL`` columns are per-row strings present only when a campaign
+#: needs them (``fault_spec`` appears on non-``single`` fault models), so
+#: default campaigns write byte-identical CSVs to every earlier schema-1
+#: file.  A file carries a prefix of its class's optional columns.
+INT, FLOAT, BOOL, STR, OPTIONAL = "int", "float", "bool", "str", "optional"
 
-#: Optional per-row columns: present only when a campaign needs them
-#: (``fault_spec`` appears on non-``single`` fault models), so default
-#: campaigns write byte-identical CSVs to every earlier schema-1 file.
-_OPTIONAL_COLUMNS = ("fault_spec",)
+_DTYPES = {INT: np.int64, FLOAT: np.float64, BOOL: bool, STR: "<U16", OPTIONAL: "<U32"}
+
+_PARSERS = {
+    INT: lambda raw: np.array([int(v) for v in raw], dtype=np.int64),
+    FLOAT: lambda raw: np.array([float(v) for v in raw], dtype=np.float64),
+    BOOL: lambda raw: np.array([bool(int(v)) for v in raw], dtype=bool),
+    STR: lambda raw: np.array(raw, dtype=_DTYPES[STR]),
+    OPTIONAL: lambda raw: np.array(raw, dtype=_DTYPES[OPTIONAL]),
+}
 
 #: What an absent optional column means when merging with one present.
 _OPTIONAL_DEFAULTS = {"fault_spec": "single"}
 
 
+class ColumnarRecords:
+    """Base of every records dataclass: one column array per field.
+
+    A subclass is a ``@dataclass`` whose fields are the columns in CSV
+    order, led by ``trial``; optional columns default to ``None``.  It
+    declares ``COLUMNS`` (column name → kind) and, if its files are not
+    CRLF-framed, ``LINE_TERMINATOR``.  The line end records what files
+    on disk already hold; changing it needs a ``CSV_SCHEMA_VERSION`` bump.
+    """
+
+    COLUMNS: ClassVar[dict[str, str]]
+    LINE_TERMINATOR: ClassVar[str] = "\r\n"
+
+    def __post_init__(self) -> None:
+        length = len(self.trial)
+        for name in self.column_names():
+            array = getattr(self, name)
+            if len(array) != length:
+                raise ValueError(f"column {name} has {len(array)} rows, expected {length}")
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    # -- construction -------------------------------------------------------
+
+    @classmethod
+    def empty(cls):
+        return cls(**{
+            name: np.empty(0, dtype=_DTYPES[kind])
+            for name, kind in cls.COLUMNS.items()
+            if kind != OPTIONAL
+        })
+
+    @classmethod
+    def concatenate(cls, parts):
+        """Merge shards (e.g. per-bit or per-worker results)."""
+        if not parts:
+            return cls.empty()
+        kwargs = {}
+        for column in dataclass_fields(cls):
+            arrays = [getattr(part, column.name) for part in parts]
+            if cls.COLUMNS[column.name] == OPTIONAL:
+                if all(array is None for array in arrays):
+                    kwargs[column.name] = None
+                    continue
+                default = _OPTIONAL_DEFAULTS[column.name]
+                arrays = [
+                    array
+                    if array is not None
+                    else np.full(len(part), default, dtype=_DTYPES[OPTIONAL])
+                    for array, part in zip(arrays, parts)
+                ]
+            kwargs[column.name] = np.concatenate(arrays)
+        return cls(**kwargs)
+
+    def select(self, mask):
+        """Row subset by boolean mask or index array."""
+        kwargs = {}
+        for column in dataclass_fields(self):
+            array = getattr(self, column.name)
+            kwargs[column.name] = None if array is None else array[mask]
+        return type(self)(**kwargs)
+
+    # -- CSV ------------------------------------------------------------------
+
+    def column_names(self) -> list[str]:
+        """The columns present, in CSV order."""
+        return [
+            column.name
+            for column in dataclass_fields(self)
+            if getattr(self, column.name) is not None
+        ]
+
+    def write_csv(self, path: str | os.PathLike) -> None:
+        """Write the paper-style CSV log."""
+        with open(Path(path), "w", newline="") as handle:
+            self._write_csv_handle(handle)
+
+    def to_csv_string(self) -> str:
+        buffer = io.StringIO()
+        self._write_csv_handle(buffer)
+        return buffer.getvalue()
+
+    def _write_csv_handle(self, handle) -> None:
+        writer = csv.writer(handle, lineterminator=self.LINE_TERMINATOR)
+        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
+        names = self.column_names()
+        writer.writerow(names)
+        columns = [getattr(self, name) for name in names]
+        for row in zip(*columns):
+            writer.writerow(
+                [
+                    repr(float(v))
+                    if isinstance(v, (float, np.floating))
+                    else (str(v) if isinstance(v, (str, np.str_)) else int(v))
+                    for v in row
+                ]
+            )
+
+    @classmethod
+    def read_csv(cls, path: str | os.PathLike):
+        """Read a log written by :meth:`write_csv`."""
+        with open(Path(path), newline="") as handle:
+            return cls._read_csv_handle(handle)
+
+    @classmethod
+    def from_csv_string(cls, text: str):
+        return cls._read_csv_handle(io.StringIO(text))
+
+    @classmethod
+    def _read_csv_handle(cls, handle):
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError("empty CSV")
+        if first and first[0].startswith("# schema_version="):
+            header = next(reader, None)
+        else:
+            header = first
+        if header is None:
+            raise ValueError("CSV missing header row")
+        names = [column.name for column in dataclass_fields(cls)]
+        required = [name for name in names if cls.COLUMNS[name] != OPTIONAL]
+        optional = [name for name in names if cls.COLUMNS[name] == OPTIONAL]
+        variants = [required + optional[:count] for count in range(len(optional) + 1)]
+        if header not in variants:
+            raise ValueError(f"CSV columns {header} do not match schema {required}")
+        rows = list(reader)
+        kwargs = {name: None for name in optional}
+        for position, name in enumerate(header):
+            kwargs[name] = _PARSERS[cls.COLUMNS[name]]([row[position] for row in rows])
+        return cls(**kwargs)
+
+
 @dataclass
-class TrialRecords:
+class TrialRecords(ColumnarRecords):
     """One campaign's trials, columnar.
 
     Attributes
@@ -88,64 +226,32 @@ class TrialRecords:
     non_finite: np.ndarray
     fault_spec: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        length = len(self.trial)
-        for column in dataclass_fields(self):
-            array = getattr(self, column.name)
-            if array is None:
-                continue
-            if len(array) != length:
-                raise ValueError(
-                    f"column {column.name} has {len(array)} rows, expected {length}"
-                )
+    COLUMNS = {
+        "trial": INT,
+        "bit": INT,
+        "index": INT,
+        "original": FLOAT,
+        "faulty": FLOAT,
+        "field": INT,
+        "regime_k": INT,
+        "abs_err": FLOAT,
+        "rel_err": FLOAT,
+        "range_rel_err": FLOAT,
+        "mse": FLOAT,
+        "faulty_mean": FLOAT,
+        "faulty_std": FLOAT,
+        "faulty_max": FLOAT,
+        "faulty_min": FLOAT,
+        "non_finite": BOOL,
+        "fault_spec": OPTIONAL,
+    }
 
-    def __len__(self) -> int:
-        return len(self.trial)
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "TrialRecords":
-        kwargs = {}
-        for name in _INT_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=np.int64)
-        for name in _FLOAT_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=np.float64)
-        for name in _BOOL_COLUMNS:
-            kwargs[name] = np.empty(0, dtype=bool)
-        return cls(**kwargs)
-
-    @classmethod
-    def concatenate(cls, parts: list["TrialRecords"]) -> "TrialRecords":
-        """Merge shards (e.g. per-bit or per-worker results)."""
-        if not parts:
-            return cls.empty()
-        kwargs = {}
-        for column in dataclass_fields(cls):
-            arrays = [getattr(part, column.name) for part in parts]
-            if column.name in _OPTIONAL_COLUMNS:
-                if all(array is None for array in arrays):
-                    kwargs[column.name] = None
-                    continue
-                default = _OPTIONAL_DEFAULTS[column.name]
-                arrays = [
-                    array
-                    if array is not None
-                    else np.full(len(part), default, dtype="<U32")
-                    for array, part in zip(arrays, parts)
-                ]
-            kwargs[column.name] = np.concatenate(arrays)
-        return cls(**kwargs)
+    # The end-to-end benchmark traces these two per records class, so
+    # each class binds them in its own namespace.
+    to_csv_string = ColumnarRecords.to_csv_string
+    read_csv = classmethod(ColumnarRecords.read_csv.__func__)
 
     # -- filtering ----------------------------------------------------------
-
-    def select(self, mask) -> "TrialRecords":
-        """Row subset by boolean mask or index array."""
-        kwargs = {}
-        for column in dataclass_fields(self):
-            array = getattr(self, column.name)
-            kwargs[column.name] = None if array is None else array[mask]
-        return TrialRecords(**kwargs)
 
     def for_bit(self, bit_index: int) -> "TrialRecords":
         """Trials that flipped one particular bit."""
@@ -162,86 +268,3 @@ class TrialRecords:
     def finite(self) -> "TrialRecords":
         """Trials whose faulty value stayed finite (non-catastrophic)."""
         return self.select(~self.non_finite)
-
-    # -- CSV ------------------------------------------------------------------
-
-    def column_names(self) -> list[str]:
-        return [
-            column.name
-            for column in dataclass_fields(self)
-            if getattr(self, column.name) is not None
-        ]
-
-    def write_csv(self, path: str | os.PathLike) -> None:
-        """Write the paper-style CSV log."""
-        with open(Path(path), "w", newline="") as handle:
-            self._write_csv_handle(handle)
-
-    def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv_handle(buffer)
-        return buffer.getvalue()
-
-    def _write_csv_handle(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
-        names = self.column_names()
-        writer.writerow(names)
-        columns = [getattr(self, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow(
-                [
-                    repr(float(v))
-                    if isinstance(v, (float, np.floating))
-                    else (str(v) if isinstance(v, (str, np.str_)) else int(v))
-                    for v in row
-                ]
-            )
-
-    @classmethod
-    def read_csv(cls, path: str | os.PathLike) -> "TrialRecords":
-        """Read a log written by :meth:`write_csv`."""
-        with open(Path(path), newline="") as handle:
-            return cls._read_csv_handle(handle)
-
-    @classmethod
-    def from_csv_string(cls, text: str) -> "TrialRecords":
-        return cls._read_csv_handle(io.StringIO(text))
-
-    @classmethod
-    def _read_csv_handle(cls, handle) -> "TrialRecords":
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise ValueError("empty CSV")
-        if first and first[0].startswith("# schema_version="):
-            header = next(reader, None)
-        else:
-            header = first
-        if header is None:
-            raise ValueError("CSV missing header row")
-        required = [
-            column.name
-            for column in dataclass_fields(cls)
-            if column.name not in _OPTIONAL_COLUMNS
-        ]
-        # Optional columns append in declaration order; a file carries a
-        # prefix of them (today: none, or fault_spec).
-        variants = [required]
-        for name in _OPTIONAL_COLUMNS:
-            variants.append(variants[-1] + [name])
-        if header not in variants:
-            raise ValueError(f"CSV columns {header} do not match schema {required}")
-        rows = list(reader)
-        kwargs = {name: None for name in _OPTIONAL_COLUMNS}
-        for position, name in enumerate(header):
-            raw = [row[position] for row in rows]
-            if name in _INT_COLUMNS:
-                kwargs[name] = np.array([int(v) for v in raw], dtype=np.int64)
-            elif name in _BOOL_COLUMNS:
-                kwargs[name] = np.array([bool(int(v)) for v in raw], dtype=bool)
-            elif name in _OPTIONAL_COLUMNS:
-                kwargs[name] = np.array(raw, dtype="<U32")
-            else:
-                kwargs[name] = np.array([float(v) for v in raw], dtype=np.float64)
-        return cls(**kwargs)

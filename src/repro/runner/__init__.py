@@ -22,7 +22,9 @@ atomically and carry SHA-256 checksums verified on resume (corrupt
 files are quarantined under ``shards/quarantine/``, never trusted),
 pool workers heartbeat so hung or dead workers are killed and their
 shards requeued, SIGTERM checkpoints like Ctrl-C, and
-:func:`verify_run` audits a run directory end to end.
+:func:`verify_run` audits a run directory end to end.  Analysis reads a
+run's records through :func:`load_run_records`, which applies the same
+shard trust check.
 """
 
 from repro.runner.errors import ManifestError, RunnerError, SignalInterrupt
@@ -68,7 +70,7 @@ from repro.runner.runner import (
     resume_campaign,
     run_status,
 )
-from repro.runner.verify import Finding, VerifyReport, verify_run
+from repro.runner.verify import Finding, VerifyReport, load_run_records, verify_run
 from repro.runner.worker import ShardWorker, WorkerResult, run_worker
 
 __all__ = [
@@ -103,6 +105,7 @@ __all__ = [
     "dataset_fingerprint",
     "default_worker_id",
     "fold_run",
+    "load_run_records",
     "quarantine_dir",
     "read_event_log",
     "request_cancel",

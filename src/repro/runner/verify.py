@@ -42,6 +42,7 @@ from repro.runner.manifest import (
     SHARD_DIR_NAME,
     RunManifest,
     fold_done_records,
+    load_folded,
     quarantine_dir,
     read_completions,
     shard_checksum,
@@ -103,6 +104,51 @@ def load_trusted_shard(path: Path, records_class, *, checksum: str | None,
             "content", f"holds {len(records)} trial(s), expected {trials}"
         )
     return records
+
+
+def shard_records_class(manifest: RunManifest):
+    """The records class a run's shard files parse as.
+
+    App-campaign shards carry the solver-outcome schema, not the
+    value-corruption one; the manifest's app payload decides.
+    """
+    if manifest.app is not None:
+        from repro.apps.campaign import AppTrialRecords
+
+        return AppTrialRecords
+    from repro.inject.results import TrialRecords
+
+    return TrialRecords
+
+
+def load_run_records(run_dir: str | os.PathLike):
+    """Every completed shard of a run, trusted and concatenated in bit order.
+
+    Completion is the folded manifest (done records a killed or
+    still-running run has not folded count), and each shard passes
+    :func:`load_trusted_shard` against its recorded checksum and trial
+    count.  Raises ``ValueError`` naming the first untrusted shard, or
+    when no shard has completed.
+    """
+    run_dir = Path(run_dir)
+    manifest = load_folded(run_dir)
+    records_class = shard_records_class(manifest)
+    parts = []
+    for bit in manifest.completed_bits():
+        state = manifest.shards[bit]
+        records = load_trusted_shard(
+            RunManifest.shard_path(run_dir, bit), records_class,
+            checksum=state.checksum, trials=state.trials,
+        )
+        if isinstance(records, ShardProblem):
+            raise ValueError(
+                f"run {run_dir}: bit {bit} shard is untrusted "
+                f"({records.kind}): {records.message}"
+            )
+        parts.append(records)
+    if not parts:
+        raise ValueError(f"run {run_dir} has no completed shards to analyze")
+    return records_class.concatenate(parts)
 
 
 @dataclass
@@ -213,14 +259,7 @@ def _check_manifest(report: VerifyReport, run_dir: Path) -> RunManifest | None:
 
 
 def _check_shards(report: VerifyReport, run_dir: Path, manifest: RunManifest) -> None:
-    # App-campaign shards carry the solver-outcome schema, not the
-    # value-corruption one; the manifest's app payload decides which
-    # parser the shard files must satisfy.
-    if manifest.app is not None:
-        from repro.apps.campaign import AppTrialRecords as records_class
-    else:
-        from repro.inject.results import TrialRecords as records_class
-
+    records_class = shard_records_class(manifest)
     shard_dir = run_dir / SHARD_DIR_NAME
     expected = set()
     for bit in sorted(manifest.shards):

@@ -209,3 +209,23 @@ class TestFrontier:
         manifest.write(tmp_path)
         with pytest.raises(ValueError, match="no completed shards"):
             frontier_from_run_dir(tmp_path)
+
+    def test_tampered_shard_rejected_like_verify(self, tmp_path):
+        from repro.runner import RunManifest, verify_run
+
+        data = np.random.default_rng(8).normal(20.0, 5.0, 256)
+        config = CampaignConfig(trials_per_bit=4, bits=(0, 14, 15), seed=17)
+        run_dir = tmp_path / "run"
+        run_campaign(data, "posit16", config, run_dir=run_dir)
+        # Rewrite one float so the shard still parses but no longer
+        # matches the checksum its writer recorded.
+        shard = RunManifest.shard_path(run_dir, 14)
+        lines = shard.read_bytes().split(b"\r\n")
+        cells = lines[2].split(b",")
+        cells[3] = repr(float(cells[3]) + 1.0).encode()
+        lines[2] = b",".join(cells)
+        shard.write_bytes(b"\r\n".join(lines))
+        assert len(TrialRecords.read_csv(shard)) == 4
+        assert verify_run(run_dir).exit_code == 1
+        with pytest.raises(ValueError, match="bit 14 .*checksum"):
+            frontier_from_run_dir(run_dir)

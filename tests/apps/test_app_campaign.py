@@ -22,9 +22,11 @@ from repro.apps.campaign import (
     cell_seeds,
     classify_outcome,
     classify_outcomes,
+    run_app_campaign,
     run_app_shard,
+    run_app_trial,
 )
-from repro.apps.campaign import _clean_solve, _mask_injector, _solve
+from repro.apps.campaign import _clean_solve
 from repro.formats import resolve
 from repro.inject.faults import FaultMasks
 
@@ -158,20 +160,39 @@ class TestZeroMaskIsNoFault:
         target = resolve("posit16")
         clean = _clean_solve(config, target)
         zero = FaultMasks(xor=0, set=0, clear=0)
-        faulty = _solve(config, target, _mask_injector(4, 10, zero, target))
-        assert faulty.iterations == clean.iterations
+        faulty = run_app_trial(config, target, 4, 10, zero)
+        assert faulty.faulty_iterations == clean.iterations
         assert faulty.converged == clean.converged
         assert faulty.diverged == clean.diverged
-        error = faulty.error_vs(clean.solution)
-        assert error == 0.0
+        assert faulty.solution_error == 0.0
         outcome = classify_outcome(
             faulty.converged, faulty.diverged,
-            faulty.iterations - clean.iterations, error, config.sdc_threshold,
+            faulty.iteration_overhead, faulty.solution_error, config.sdc_threshold,
         )
         no_fault = classify_outcome(
             clean.converged, clean.diverged, 0, 0.0, config.sdc_threshold
         )
         assert outcome == no_fault
+
+
+class TestCampaign:
+    def test_sweep_shape(self):
+        config = AppCampaignConfig(
+            app="jacobi", grid=8, iterations=(4,), trials_per_cell=1, seed=1,
+        )
+        result = run_app_campaign(config, "posit16")
+        assert result.trial_count == 16
+        assert sorted(int(b) for b in np.unique(result.records.bit)) == list(range(16))
+        assert set(result.records.outcome) <= set(OUTCOMES)
+
+    def test_deterministic(self):
+        config = AppCampaignConfig(
+            app="jacobi", grid=8, iterations=(4,), trials_per_cell=1, seed=9,
+            max_iterations=500,
+        )
+        a = run_app_campaign(config, "posit16")
+        b = run_app_campaign(config, "posit16")
+        assert a.records.to_csv_string() == b.records.to_csv_string()
 
 
 class TestShardRecords:

@@ -1,83 +1,41 @@
-"""Tests for application-level fault injection."""
+"""Single-fault trials: one flip in live Jacobi state, scored end to end."""
 
 import numpy as np
-import pytest
 
-from repro.apps.campaign import OUTCOMES, AppCampaignConfig, run_app_campaign
-from repro.apps.faulty import (
-    AppFaultSpec,
-    run_faulty_solve,
-    summarize_outcomes,
-)
-from repro.apps.stencil import PoissonProblem
+from repro.apps.campaign import AppCampaignConfig, run_app_trial
+from repro.inject.faults import FaultMasks
 
-PROBLEM = PoissonProblem(grid=8)
+GRID = 8
+
+
+def flip_trial(target, iteration, flat_index, bit, **solver):
+    """One single-bit flip of the Jacobi state, scored against the clean solve."""
+    config = AppCampaignConfig(
+        app="jacobi", grid=GRID, iterations=(iteration,), **solver
+    )
+    masks = FaultMasks(xor=1 << bit, set=0, clear=0)
+    return run_app_trial(config, target, iteration, flat_index, masks)
 
 
 class TestSingleFault:
     def test_fraction_flip_self_heals(self):
         # A low fraction bit barely perturbs the state; Jacobi recovers.
-        spec = AppFaultSpec(iteration=5, flat_index=10, bit=2)
-        outcome = run_faulty_solve(PROBLEM, "posit32", spec,
-                                   max_iterations=4000, tolerance=1e-7)
+        outcome = flip_trial("posit32", iteration=5, flat_index=10, bit=2,
+                             max_iterations=4000, tolerance=1e-7)
         assert outcome.converged
         assert outcome.solution_error < 1e-4
         assert outcome.iteration_overhead >= 0 or outcome.iteration_overhead == 0
 
     def test_exponent_flip_costs_iterations_ieee(self):
         # IEEE bit 30 flip inflates a value enormously mid-solve.
-        spec = AppFaultSpec(iteration=5, flat_index=10, bit=30)
-        clean_spec = AppFaultSpec(iteration=5, flat_index=10, bit=0)
-        big = run_faulty_solve(PROBLEM, "ieee32", spec,
-                               max_iterations=8000, tolerance=1e-7)
-        small = run_faulty_solve(PROBLEM, "ieee32", clean_spec,
-                                 max_iterations=8000, tolerance=1e-7)
+        big = flip_trial("ieee32", iteration=5, flat_index=10, bit=30,
+                         max_iterations=8000, tolerance=1e-7)
+        small = flip_trial("ieee32", iteration=5, flat_index=10, bit=0,
+                           max_iterations=8000, tolerance=1e-7)
         assert big.iteration_overhead > small.iteration_overhead
 
     def test_outcome_fields(self):
-        spec = AppFaultSpec(iteration=3, flat_index=0, bit=1)
-        outcome = run_faulty_solve(PROBLEM, "posit16", spec,
-                                   max_iterations=3000, tolerance=1e-6)
-        assert outcome.spec == spec
+        outcome = flip_trial("posit16", iteration=3, flat_index=0, bit=1,
+                             max_iterations=3000, tolerance=1e-6)
         assert outcome.clean_iterations > 0
         assert np.isfinite(outcome.solution_error)
-
-
-class TestCampaign:
-    # The bit_sweep_campaign loop this class used to cover is gone;
-    # app-scale sweeps run through repro.apps.campaign now.
-
-    def test_sweep_shape(self):
-        config = AppCampaignConfig(
-            app="jacobi", grid=8, iterations=(4,), trials_per_cell=1, seed=1,
-        )
-        result = run_app_campaign(config, "posit16")
-        assert result.trial_count == 16
-        assert sorted(int(b) for b in np.unique(result.records.bit)) == list(range(16))
-        assert set(result.records.outcome) <= set(OUTCOMES)
-
-    def test_deterministic(self):
-        config = AppCampaignConfig(
-            app="jacobi", grid=8, iterations=(4,), trials_per_cell=1, seed=9,
-            max_iterations=500,
-        )
-        a = run_app_campaign(config, "posit16")
-        b = run_app_campaign(config, "posit16")
-        assert a.records.to_csv_string() == b.records.to_csv_string()
-
-    def test_summary(self):
-        outcomes = [
-            run_faulty_solve(
-                PROBLEM, "posit16", AppFaultSpec(iteration=4, flat_index=i, bit=b),
-                max_iterations=2000, tolerance=1e-6,
-            )
-            for i, b in ((3, 1), (10, 14))
-        ]
-        summary = summarize_outcomes(outcomes)
-        assert summary["trials"] == 2
-        assert 0.0 <= summary["converged_fraction"] <= 1.0
-        assert summary["max_iteration_overhead"] >= summary["mean_iteration_overhead"]
-
-    def test_summary_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_outcomes([])

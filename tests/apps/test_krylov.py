@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.apps.krylov import cg_fault_outcome, cg_solve, poisson_matvec
+from repro.apps.campaign import AppCampaignConfig, run_app_trial
+from repro.apps.krylov import cg_solve, poisson_matvec
 from repro.apps.stencil import PoissonProblem
+from repro.inject.faults import FaultMasks
 
 PROBLEM = PoissonProblem(grid=12)
+
+
+def flip_trial(app, target, iteration, flat_index, bit, **solver):
+    """One single-bit flip of the solver state, scored against the clean solve."""
+    config = AppCampaignConfig(
+        app=app, grid=PROBLEM.grid, iterations=(iteration,), **solver
+    )
+    masks = FaultMasks(xor=1 << bit, set=0, clear=0)
+    return run_app_trial(config, target, iteration, flat_index, masks)
 
 
 class TestMatvec:
@@ -78,49 +89,46 @@ class TestFaults:
     SOURCE = (PROBLEM.grid // 3) * PROBLEM.grid + (2 * PROBLEM.grid) // 3
 
     def test_low_bit_flip_negligible(self):
-        outcome = cg_fault_outcome(
-            PROBLEM, "posit32", iteration=3, flat_index=self.SOURCE, bit=2,
+        outcome = flip_trial(
+            "cg", "posit32", iteration=3, flat_index=self.SOURCE, bit=2,
             max_iterations=1000, tolerance=1e-6,
         )
-        assert outcome["converged"]
-        assert outcome["solution_error"] < 1e-3
+        assert outcome.converged
+        assert outcome.solution_error < 1e-3
 
     def test_high_bit_flip_is_silent_corruption(self):
-        high = cg_fault_outcome(
-            PROBLEM, "ieee32", iteration=3, flat_index=self.SOURCE, bit=30,
+        high = flip_trial(
+            "cg", "ieee32", iteration=3, flat_index=self.SOURCE, bit=30,
             max_iterations=2000, tolerance=1e-6,
         )
         # Convergence is still reported (silent!) but the answer is wrong.
-        assert high["converged"]
-        assert high["iteration_overhead"] == 0
-        assert high["solution_error"] > 0.1
+        assert high.converged
+        assert high.iteration_overhead == 0
+        assert high.solution_error > 0.1
 
     def test_posit_silent_corruption_orders_smaller_than_ieee(self):
-        ieee = cg_fault_outcome(
-            PROBLEM, "ieee32", iteration=3, flat_index=self.SOURCE, bit=30,
+        ieee = flip_trial(
+            "cg", "ieee32", iteration=3, flat_index=self.SOURCE, bit=30,
             max_iterations=2000, tolerance=1e-6,
         )
-        posit = cg_fault_outcome(
-            PROBLEM, "posit32", iteration=3, flat_index=self.SOURCE, bit=30,
+        posit = flip_trial(
+            "cg", "posit32", iteration=3, flat_index=self.SOURCE, bit=30,
             max_iterations=2000, tolerance=1e-6,
         )
-        assert posit["solution_error"] < ieee["solution_error"] / 1e6
+        assert posit.solution_error < ieee.solution_error / 1e6
 
     def test_jacobi_self_heals_where_cg_does_not(self):
-        from repro.apps.faulty import AppFaultSpec, run_faulty_solve
-
-        cg = cg_fault_outcome(
-            PROBLEM, "ieee32", iteration=3, flat_index=self.SOURCE, bit=28,
+        cg = flip_trial(
+            "cg", "ieee32", iteration=3, flat_index=self.SOURCE, bit=28,
             max_iterations=2000, tolerance=1e-6,
         )
-        jacobi = run_faulty_solve(
-            PROBLEM, "ieee32",
-            AppFaultSpec(iteration=3, flat_index=self.SOURCE, bit=28),
+        jacobi = flip_trial(
+            "jacobi", "ieee32", iteration=3, flat_index=self.SOURCE, bit=28,
             max_iterations=8000, tolerance=1e-6,
         )
-        assert jacobi.solution_error < cg["solution_error"] / 10
+        assert jacobi.solution_error < cg.solution_error / 10
 
     def test_deterministic(self):
-        a = cg_fault_outcome(PROBLEM, "posit32", 3, 10, 20, max_iterations=400)
-        b = cg_fault_outcome(PROBLEM, "posit32", 3, 10, 20, max_iterations=400)
+        a = flip_trial("cg", "posit32", 3, 10, 20, max_iterations=400)
+        b = flip_trial("cg", "posit32", 3, 10, 20, max_iterations=400)
         assert a == b

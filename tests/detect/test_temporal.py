@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.apps.faulty import AppFaultSpec
 from repro.apps.stencil import PoissonProblem
 from repro.detect.temporal import (
     LinearExtrapolationDetector,
@@ -60,21 +59,18 @@ class TestDetectorCore:
 
 class TestOnJacobi:
     def test_large_flip_detected_at_injection(self):
-        spec = AppFaultSpec(iteration=10, flat_index=CENTER, bit=30)
-        outcome = evaluate_on_jacobi(PROBLEM, "ieee32", spec)
+        outcome = evaluate_on_jacobi(PROBLEM, "ieee32", 10, CENTER, 30)
         assert outcome.detected
         assert outcome.latency == 0
         assert outcome.detection_index_correct
         assert outcome.false_positives_before == 0
 
     def test_tiny_flip_not_flagged(self):
-        spec = AppFaultSpec(iteration=10, flat_index=CENTER, bit=0)
-        outcome = evaluate_on_jacobi(PROBLEM, "ieee32", spec)
+        outcome = evaluate_on_jacobi(PROBLEM, "ieee32", 10, CENTER, 0)
         assert not outcome.detected
 
     def test_posit_regime_flip_detected(self):
-        spec = AppFaultSpec(iteration=10, flat_index=CENTER, bit=29)
-        outcome = evaluate_on_jacobi(PROBLEM, "posit32", spec)
+        outcome = evaluate_on_jacobi(PROBLEM, "posit32", 10, CENTER, 29)
         assert outcome.detected
 
     def test_sweep_recall_tracks_impact(self):

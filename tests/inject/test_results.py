@@ -1,10 +1,13 @@
 """Tests for trial records and CSV round-trip."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.apps.campaign import AppTrialRecords
 from repro.inject.campaign import CampaignConfig, run_campaign
-from repro.inject.results import TrialRecords
+from repro.inject.results import BOOL, FLOAT, INT, OPTIONAL, STR, TrialRecords
 
 
 @pytest.fixture
@@ -116,3 +119,74 @@ class TestCsvRoundtrip:
         assert np.array_equal(
             records.faulty.view(np.uint64), loaded.faulty.view(np.uint64)
         )
+
+
+def _sample(records_class, rows, fault_spec=None):
+    """Synthetic records of ``rows`` rows, filled per the class's column kinds."""
+    values = {
+        INT: np.arange(rows, dtype=np.int64),
+        FLOAT: np.resize([0.1, np.nan, -np.inf, 1e-300, 2.5], rows),
+        BOOL: np.arange(rows) % 2 == 0,
+        STR: np.resize(["converged", "sdc"], rows),
+    }
+    columns = {
+        name: values[kind]
+        for name, kind in records_class.COLUMNS.items()
+        if kind != OPTIONAL
+    }
+    if fault_spec is not None:
+        columns["fault_spec"] = np.full(rows, fault_spec, dtype="<U32")
+    return records_class(**columns)
+
+
+def _assert_same(lhs, rhs):
+    assert lhs.column_names() == rhs.column_names()
+    for name in lhs.column_names():
+        a, b = getattr(lhs, name), getattr(rhs, name)
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+@pytest.mark.parametrize(
+    "records_class, line_end",
+    [(TrialRecords, "\r\n"), (AppTrialRecords, "\n")],
+    ids=["value", "app"],
+)
+class TestRecordsContract:
+    """Every records class shares one codec; only columns and framing differ."""
+
+    def test_kind_table_names_every_field_in_order(self, records_class, line_end):
+        assert list(records_class.COLUMNS) == [f.name for f in fields(records_class)]
+
+    def test_csv_round_trip_and_framing(self, records_class, line_end, tmp_path):
+        for fault_spec in (None, "adjacent(2)"):
+            records = _sample(records_class, 5, fault_spec)
+            text = records.to_csv_string()
+            assert text.startswith(f"# schema_version=1{line_end}")
+            assert text.count(line_end) == 7  # schema line, header, 5 rows
+            _assert_same(records_class.from_csv_string(text), records)
+            path = tmp_path / "shard.csv"
+            records.write_csv(path)
+            assert path.read_bytes() == text.encode()
+            _assert_same(records_class.read_csv(path), records)
+
+    def test_concatenate_fills_absent_fault_spec(self, records_class, line_end):
+        plain = _sample(records_class, 2)
+        tagged = _sample(records_class, 3, "adjacent(2)")
+        merged = records_class.concatenate([plain, tagged])
+        assert len(merged) == 5
+        assert merged.fault_spec.tolist() == ["single"] * 2 + ["adjacent(2)"] * 3
+        assert records_class.concatenate([plain, plain]).fault_spec is None
+        assert len(records_class.concatenate([])) == 0
+
+    def test_select_returns_the_subclass(self, records_class, line_end):
+        records = _sample(records_class, 4)
+        subset = records.select(records.trial > 1)
+        assert type(subset) is records_class
+        assert subset.trial.tolist() == [2, 3]
+
+    def test_empty_or_headerless_file_rejected(self, records_class, line_end, tmp_path):
+        path = tmp_path / "truncated.csv"
+        for text in ("", f"# schema_version=1{line_end}"):
+            path.write_text(text, newline="")
+            with pytest.raises(ValueError):
+                records_class.read_csv(path)
