@@ -33,9 +33,8 @@ be forced per process with ``REPRO_FORMAT_BACKEND`` or per instance via
 pipeline uses its own default policy (:func:`batch_backend_name`) which
 additionally picks ``composed`` for 17–32-bit formats.
 
-Every backend also implements the *batch* half of the codec surface
-consumed by the encode-once campaign pipeline
-(:class:`repro.inject.trial.FieldPipeline`):
+Every backend also derives the fault decodes the campaign pipeline
+(:class:`repro.inject.trial.FieldPipeline`) calls on its stored patterns:
 
 ``decode_flips(bits, bit_indices)``
     Decode ``bits`` with bit ``bit_indices[i]`` flipped.  A 1-D ``bits``
@@ -43,8 +42,8 @@ consumed by the encode-once campaign pipeline
     ``(B, T)`` array is flipped row-wise (row ``i`` at bit
     ``bit_indices[i]``).
 
-``classify_rows(bits_rows, bit_indices)``
-    Field id of bit ``bit_indices[i]`` for every pattern in row ``i``.
+``decode_masked(bits, masks)``
+    Decode ``bits`` under arbitrary XOR / set / clear fault masks.
 """
 
 from __future__ import annotations
@@ -151,12 +150,11 @@ def make_backend(fmt, requested: str | None = None):
 
 
 class CodecBackend:
-    """Shared batch operations every codec backend inherits.
+    """Shared fault decodes every codec backend inherits.
 
     Concrete backends implement the scalar protocol
     (``to_bits``/``from_bits``/``classify_bits``/``regime_sizes``); the
-    batch surface below is derived from it and overridden where a
-    backend has a faster whole-block form.
+    fault decodes below are derived from its ``from_bits``.
     """
 
     backend_name = "abstract"
@@ -179,14 +177,6 @@ class CodecBackend:
 
         return self.from_bits(apply_masks(np.asarray(bits), masks, self._fmt.nbits))
 
-    def classify_rows(self, bits_rows, bit_indices) -> np.ndarray:
-        """Field id of bit ``bit_indices[i]`` for every pattern in row i."""
-        rows = np.asarray(bits_rows)
-        out = np.empty(rows.shape, dtype=np.int64)
-        for i, bit in enumerate(np.asarray(bit_indices).tolist()):
-            out[i] = self.classify_bits(rows[i], int(bit))
-        return out
-
 
 class DirectBackend(CodecBackend):
     """Pass-through backend: every call runs the raw vectorized codec."""
@@ -204,11 +194,6 @@ class DirectBackend(CodecBackend):
 
     def classify_bits(self, bits, bit_index: int) -> np.ndarray:
         return self._fmt.classify_raw(bits, bit_index)
-
-    def classify_rows(self, bits_rows, bit_indices) -> np.ndarray:
-        # Formats with a whole-block classifier (posit: one decompose
-        # for the full row block) answer in a single vectorized pass.
-        return self._fmt.classify_rows_raw(bits_rows, bit_indices)
 
     def regime_sizes(self, bits) -> np.ndarray:
         return self._fmt.regime_raw(bits)
@@ -324,14 +309,6 @@ class LUTBackend(CodecBackend):
 
     def classify_bits(self, bits, bit_index: int) -> np.ndarray:
         return self._ensure_classify(bit_index)[self._indices(bits)]
-
-    def classify_rows(self, bits_rows, bit_indices) -> np.ndarray:
-        rows = np.asarray(bits_rows)
-        indices = self._indices(rows)
-        out = np.empty(rows.shape, dtype=np.int64)
-        for i, bit in enumerate(np.asarray(bit_indices).tolist()):
-            out[i] = self._ensure_classify(int(bit))[indices[i]]
-        return out
 
     def regime_sizes(self, bits) -> np.ndarray:
         return self._ensure_regime()[self._indices(bits)]

@@ -19,40 +19,18 @@ Concrete classes implement the ``*_raw`` methods; the public
 ``to_bits``/``from_bits``/``classify_bits``/``regime_sizes`` entry
 points delegate to a pluggable codec backend (``direct`` or ``lut``,
 see :mod:`repro.formats.backends`) chosen per format at construction.
-``round_trip`` additionally memoizes its result per array fingerprint,
-because campaigns re-store the same dataset many times (baseline,
-conversion report, and every experiment sharing a field).
+Nothing is memoized here: a campaign stores its field once, in its
+:class:`repro.inject.trial.FieldPipeline`, and every consumer reads
+that one store.
 """
 
 from __future__ import annotations
 
 import abc
-import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.telemetry import get_telemetry
-
-#: Entries kept in each format's round-trip memo (arrays can be large,
-#: so the cache is deliberately small: a campaign touches one or two
-#: distinct datasets at a time).
-_ROUND_TRIP_CACHE_SIZE = 8
-
-#: The encode-once memo holds compact bit patterns (2-8 bytes per
-#: element), and a multi-field campaign (the paper runs 16 fields)
-#: seeds one entry per field via round_trip — so it keeps more entries
-#: than the float64 round-trip memo.
-_ENCODE_ONCE_CACHE_SIZE = 32
-
-
-def _array_fingerprint(array: np.ndarray) -> tuple:
-    """Content-hash cache key of a C-contiguous array."""
-    return (
-        array.dtype.str,
-        array.shape,
-        hashlib.blake2b(array.tobytes(), digest_size=16).digest(),
-    )
 
 
 class NumberFormat(abc.ABC):
@@ -77,8 +55,6 @@ class NumberFormat(abc.ABC):
         from repro.formats.backends import make_backend
 
         self._backend = make_backend(self, backend)
-        self._round_trip_cache: OrderedDict = OrderedDict()
-        self._encode_once_cache: OrderedDict = OrderedDict()
 
     # -- raw codec operations (implemented by concrete formats) ----------
 
@@ -97,20 +73,6 @@ class NumberFormat(abc.ABC):
     def regime_raw(self, bits) -> np.ndarray:
         """Regime size k per element; zeros for systems without a regime."""
         return np.zeros(np.shape(np.asarray(bits)), dtype=np.int64)
-
-    def classify_rows_raw(self, bits_rows, bit_indices) -> np.ndarray:
-        """Field id of bit ``bit_indices[i]`` for every pattern in row i.
-
-        Default: one ``classify_raw`` sweep per row.  Formats whose
-        classification vectorizes over the bit axis override this with a
-        single whole-block pass (posit: one field decomposition; IEEE:
-        per-row constants).
-        """
-        rows = np.asarray(bits_rows)
-        out = np.empty(rows.shape, dtype=np.int64)
-        for i, bit in enumerate(np.asarray(bit_indices).tolist()):
-            out[i] = self.classify_raw(rows[i], int(bit))
-        return out
 
     def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
         """Field ids of the *same* patterns at many bits: ``(B, *shape)``."""
@@ -173,36 +135,7 @@ class NumberFormat(abc.ABC):
         """Regime size k per element; zeros for systems without a regime."""
         return self._backend.regime_sizes(bits)
 
-    # -- batch protocol (encode-once campaign pipeline) -------------------
-
-    def encode_once(self, values) -> np.ndarray:
-        """``to_bits`` memoized on the array fingerprint.
-
-        The campaign pipeline stores each field's dataset exactly once
-        and reuses the patterns across every bit's trials; repeated
-        calls (resume, per-experiment re-runs, fork workers warming
-        from the parent) hit the cache instead of re-encoding.
-        ``round_trip`` pre-seeds this cache with the patterns of the
-        stored dataset it returns (store-then-load is idempotent, so
-        re-encoding its output must reproduce the same patterns), which
-        makes the campaign's encode of the round-tripped field free.
-        """
-        telemetry = get_telemetry()
-        array = np.ascontiguousarray(values)
-        key = _array_fingerprint(array)
-        cached = self._encode_once_cache.get(key)
-        if cached is not None:
-            self._encode_once_cache.move_to_end(key)
-            if telemetry.enabled:
-                telemetry.count("formats.encode_once.cache_hits")
-            return cached.copy()
-        if telemetry.enabled:
-            telemetry.count("formats.encode_once.cache_misses")
-        bits = self.to_bits(array)
-        self._encode_once_cache[key] = bits
-        while len(self._encode_once_cache) > _ENCODE_ONCE_CACHE_SIZE:
-            self._encode_once_cache.popitem(last=False)
-        return bits.copy()
+    # -- fault decodes ----------------------------------------------------
 
     def decode_flips(self, bits, bit_indices) -> np.ndarray:
         """Decode ``bits`` with bit ``bit_indices[i]`` flipped in row i.
@@ -234,52 +167,13 @@ class NumberFormat(abc.ABC):
         telemetry.count("formats.decode.values", np.size(values))
         return values
 
-    def classify_bits_batch(self, bits_rows, bit_indices) -> np.ndarray:
-        """Field id of bit ``bit_indices[i]`` for every pattern in row i."""
-        for bit in np.asarray(bit_indices).reshape(-1):
-            if not 0 <= bit < self.nbits:
-                raise ValueError(
-                    f"bit indices must be in [0, {self.nbits}), got {bit}"
-                )
-        return self._backend.classify_rows(bits_rows, bit_indices)
-
     def round_trip(self, values) -> np.ndarray:
-        """Store-then-load: the representable value of each input.
-
-        Memoized on an array fingerprint (dtype, shape, content hash):
-        the campaign engine round-trips the same dataset for the
-        baseline, the conversion report, and again per experiment, and
-        the codec is the expensive step, not the hashing.
-        """
+        """Store-then-load: the representable value of each input."""
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return self._round_trip(values)
+            return self.from_bits(self.to_bits(values))
         with telemetry.span("formats.round_trip"):
-            return self._round_trip(values, telemetry)
-
-    def _round_trip(self, values, telemetry=None) -> np.ndarray:
-        array = np.ascontiguousarray(values)
-        key = _array_fingerprint(array)
-        cached = self._round_trip_cache.get(key)
-        if cached is not None:
-            self._round_trip_cache.move_to_end(key)
-            if telemetry is not None:
-                telemetry.count("formats.round_trip.cache_hits")
-            return cached.copy()
-        if telemetry is not None:
-            telemetry.count("formats.round_trip.cache_misses")
-        bits = self.to_bits(array)
-        result = self.from_bits(bits)
-        self._round_trip_cache[key] = result
-        # Store-then-load is idempotent, so the stored dataset's patterns
-        # are exactly `bits`: seed the encode-once memo so the campaign
-        # pipeline's encode of the round-tripped field is a cache hit.
-        self._encode_once_cache[_array_fingerprint(np.ascontiguousarray(result))] = bits
-        while len(self._encode_once_cache) > _ENCODE_ONCE_CACHE_SIZE:
-            self._encode_once_cache.popitem(last=False)
-        while len(self._round_trip_cache) > _ROUND_TRIP_CACHE_SIZE:
-            self._round_trip_cache.popitem(last=False)
-        return result.copy()
+            return self.from_bits(self.to_bits(values))
 
     def layout_string(self, pattern: int) -> str:
         """Render a pattern with field separators (``0|10|01|...``)."""

@@ -34,9 +34,9 @@ row's field layout is fixed by ``hi`` unless the regime run reaches the
 low half, so one ``(2**hi_bits, nbits)`` field table plus a stability
 flag per row answers classification with one fancy gather.
 
-``to_bits`` delegates to the direct codec: under the batched campaign
-pipeline a dataset is encoded once per field (see
-``NumberFormat.encode_once``), so decode is the only hot direction.
+``to_bits`` delegates to the direct codec: a campaign encodes its field
+once (:class:`repro.inject.trial.FieldPipeline`), so decode is the only
+hot direction.
 """
 
 from __future__ import annotations
@@ -211,29 +211,6 @@ class ComposedLUTBackend(CodecBackend):
                 self._fmt.classify_raw(patterns, bit_index), dtype=np.int64
             )
         return out.reshape(shape)
-
-    def classify_rows(self, bits_rows, bit_indices) -> np.ndarray:
-        """Row ``i`` of ``bits_rows`` classified at ``bit_indices[i]``."""
-        self._ensure_layout()
-        rows = np.asarray(bits_rows)
-        bit_column = np.asarray(bit_indices, dtype=np.int64).reshape(
-            (-1,) + (1,) * (rows.ndim - 1)
-        )
-        hi, lo = self._split(rows)
-        out = self._classify_table[hi, np.broadcast_to(bit_column, hi.shape)]
-        fallback = ~self._layout_stable[hi]
-        if np.any(fallback):
-            out = out.copy()
-            for i, bit in enumerate(np.asarray(bit_indices).tolist()):
-                row_bad = fallback[i]
-                if not np.any(row_bad):
-                    continue
-                patterns = ((hi[i] << self._lo_bits) | lo[i])[row_bad]
-                out[i][row_bad] = np.asarray(
-                    self._fmt.classify_raw(patterns.astype(self._fmt.dtype), bit),
-                    dtype=np.int64,
-                )
-        return out
 
     def regime_sizes(self, bits) -> np.ndarray:
         self._ensure_layout()

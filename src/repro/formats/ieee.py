@@ -61,15 +61,6 @@ class IEEETarget(NumberFormat):
             dtype=np.int64,
         )
 
-    def classify_rows_raw(self, bits_rows, bit_indices) -> np.ndarray:
-        # An IEEE bit's field never depends on the value: each row is a
-        # constant fill.
-        shape = np.shape(np.asarray(bits_rows))
-        column = self._field_constants(bit_indices).reshape(
-            (-1,) + (1,) * (len(shape) - 1)
-        )
-        return np.broadcast_to(column, shape).copy()
-
     def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
         shape = np.shape(np.asarray(bits))
         constants = self._field_constants(bit_indices)

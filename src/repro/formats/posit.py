@@ -44,15 +44,6 @@ class PositTarget(NumberFormat):
     def classify_raw(self, bits, bit_index: int) -> np.ndarray:
         return posit_classify_bit(bits, bit_index, self.config)
 
-    def classify_rows_raw(self, bits_rows, bit_indices) -> np.ndarray:
-        # One decompose answers the whole (rows, trials) block.
-        rows = np.asarray(bits_rows)
-        fields = decompose(rows, self.config)
-        column = np.asarray(bit_indices, dtype=np.int64).reshape(
-            (-1,) + (1,) * (rows.ndim - 1)
-        )
-        return classify_bits_array(fields, column, self.config)
-
     def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
         fields = decompose(bits, self.config)
         column = np.asarray(bit_indices, dtype=np.int64).reshape(

@@ -17,7 +17,6 @@ from repro.inject.campaign import (
     conversion_report,
     run_campaign,
     run_campaign_shard,
-    run_field_trials,
 )
 from repro.inject.faults import (
     AdjacentBitFlip,
@@ -90,6 +89,5 @@ __all__ = [
     "run_bit_trials",
     "run_campaign",
     "run_campaign_shard",
-    "run_field_trials",
     "run_single_trial",
 ]

@@ -38,7 +38,7 @@ import numpy as np
 from repro.formats import NumberFormat
 from repro.inject.faultspec import DEFAULT_FAULT_SPEC, canonical_fault_spec, resolve_fault
 from repro.inject.results import TrialRecords
-from repro.inject.trial import field_pipeline, run_bit_trials
+from repro.inject.trial import run_bit_trials
 from repro.metrics.summary import SummaryStats
 from repro.telemetry import get_telemetry
 
@@ -120,10 +120,15 @@ class CampaignResult:
         return len(self.records)
 
 
-def conversion_report(data, target: NumberFormat) -> ConversionReport:
-    """Measure the representation error of storing ``data`` in ``target``."""
+def conversion_report(data, stored) -> ConversionReport:
+    """Measure the representation error of ``data`` stored as ``stored``.
+
+    ``stored`` holds the representable value of each element of
+    ``data`` in the target format: the campaign's
+    :class:`~repro.inject.trial.FieldPipeline` store.
+    """
     raw = np.asarray(data, dtype=np.float64).reshape(-1)
-    stored = target.round_trip(raw)
+    stored = np.asarray(stored).reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(raw - stored) / np.abs(raw)
     rel = np.where(raw == 0, np.where(stored == 0, 0.0, np.inf), rel)
@@ -265,7 +270,7 @@ def run_campaign(
 
 
 def run_campaign_shard(
-    stored_data: np.ndarray,
+    data: np.ndarray,
     target: NumberFormat,
     bit: int,
     trials: int,
@@ -275,7 +280,8 @@ def run_campaign_shard(
 ) -> TrialRecords:
     """All trials of one bit position (the unit of parallel work).
 
-    ``stored_data`` must already be round-tripped through the target so
+    ``data`` is the campaign's field, raw or already stored; the field's
+    pipeline (:func:`repro.inject.trial.field_pipeline`) stores it, so
     every shard sees identical stored values.  ``fault_spec`` names the
     fault model (:mod:`repro.inject.faultspec`); the default ``single``
     takes exactly the historical path — same RNG stream, same records,
@@ -291,112 +297,17 @@ def run_campaign_shard(
     telemetry = get_telemetry()
     if not telemetry.enabled:
         rng = np.random.default_rng(seed)
-        indices = rng.integers(0, stored_data.size, size=trials)
+        indices = rng.integers(0, data.size, size=trials)
         return run_bit_trials(
-            stored_data, indices, bit, target, baseline,
+            data, indices, bit, target, baseline,
             rng=rng, fault=fault, fault_spec=spec_label,
         )
     with telemetry.span("inject.shard"):
         rng = np.random.default_rng(seed)
-        indices = rng.integers(0, stored_data.size, size=trials)
+        indices = rng.integers(0, data.size, size=trials)
         records = run_bit_trials(
-            stored_data, indices, bit, target, baseline,
+            data, indices, bit, target, baseline,
             rng=rng, fault=fault, fault_spec=spec_label,
         )
     telemetry.count("inject.shards")
-    return records
-
-
-#: Memoized (bits, trials) index blocks: the draws depend only on
-#: (seed, bit list, trial count, dataset size), so every same-sized
-#: field of a campaign reuses one block instead of re-deriving per-bit
-#: generators.  Arrays are marked read-only before caching.
-_TRIAL_INDEX_CACHE: dict[tuple, np.ndarray] = {}
-_TRIAL_INDEX_CACHE_SIZE = 8
-
-
-def _field_trial_indices(
-    config: CampaignConfig,
-    target: NumberFormat,
-    bits: tuple[int, ...],
-    size: int,
-) -> np.ndarray:
-    """The ``(bits, trials)`` element-index block of a field's trials.
-
-    Row ``i`` is exactly the index stream ``run_campaign_shard`` draws
-    for bit ``bits[i]``: ``default_rng(seed_for_bit).integers(0, size,
-    trials)``.
-    """
-    cache_key = (config.seed, target.nbits, bits, config.trials_per_bit, size)
-    cached = _TRIAL_INDEX_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    seeds = bit_seeds(config, target)
-    indices2d = np.empty((len(bits), config.trials_per_bit), dtype=np.int64)
-    for row, bit in enumerate(bits):
-        rng = np.random.default_rng(seeds[bit])
-        indices2d[row] = rng.integers(0, size, size=config.trials_per_bit)
-    indices2d.setflags(write=False)
-    _TRIAL_INDEX_CACHE[cache_key] = indices2d
-    while len(_TRIAL_INDEX_CACHE) > _TRIAL_INDEX_CACHE_SIZE:
-        del _TRIAL_INDEX_CACHE[next(iter(_TRIAL_INDEX_CACHE))]
-    return indices2d
-
-
-def run_field_trials(
-    stored_data: np.ndarray,
-    target: NumberFormat,
-    baseline: SummaryStats,
-    config: CampaignConfig | None = None,
-) -> TrialRecords:
-    """Every bit position's trials for one field in a single batched pass.
-
-    The one-shot form of the campaign inner loop: instead of iterating
-    :func:`run_campaign_shard` per bit, the whole ``(bits, trials)``
-    block is gathered from the encode-once pipeline and flipped, decoded,
-    classified, and scored as whole-array NumPy passes.  The per-bit
-    index draws use exactly the per-bit shard streams
-    (``default_rng(seed).integers(0, size, trials)`` with the
-    :func:`bit_seeds` children), so the slice of the result covering bit
-    ``b`` is byte-identical to ``run_campaign_shard``'s records for
-    ``b`` — the tests and the trials benchmark assert this through the
-    CSV writer.
-
-    ``stored_data`` must already be round-tripped through the target,
-    exactly as for :func:`run_campaign_shard`.
-    """
-    if config is None:
-        config = CampaignConfig()
-    stored = np.asarray(stored_data).reshape(-1)
-    bits = config.resolved_bits(target)
-    resolved = config.resolved_fault()
-    if resolved.is_default:
-        indices2d = _field_trial_indices(config, target, bits, stored.size)
-        faults = rngs = spec_label = None
-    else:
-        # Non-default models may consume the shard RNG after the index
-        # draw, so each row keeps its live generator (positioned exactly
-        # as run_campaign_shard leaves it) instead of the cached block.
-        seeds = bit_seeds(config, target)
-        indices2d = np.empty((len(bits), config.trials_per_bit), dtype=np.int64)
-        faults, rngs = [], []
-        for row, bit in enumerate(bits):
-            rng = np.random.default_rng(seeds[bit])
-            indices2d[row] = rng.integers(0, stored.size, size=config.trials_per_bit)
-            faults.append(resolved.for_bit(bit, target.nbits))
-            rngs.append(rng)
-        spec_label = resolved.spec
-    pipeline = field_pipeline(target, stored)
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return pipeline.run_bits(
-            np.asarray(bits, dtype=np.int64), indices2d, baseline,
-            faults=faults, rngs=rngs, fault_spec=spec_label,
-        )
-    with telemetry.span("inject.field"):
-        records = pipeline.run_bits(
-            np.asarray(bits, dtype=np.int64), indices2d, baseline,
-            faults=faults, rngs=rngs, fault_spec=spec_label,
-        )
-    telemetry.count("inject.trials", indices2d.size)
     return records

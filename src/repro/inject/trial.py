@@ -1,15 +1,15 @@
 """Trial execution: inject faults into chosen elements and measure.
 
-The campaign hot path is the *encode-once* batched pipeline: a
-:class:`FieldPipeline` stores each field's dataset exactly once
-(``encode_once``), decodes it once, and then serves every bit's trials
-as whole-array gathers — flip/decode via ``decode_flips``, field
-classification via ``classify_bits_batch``, metrics and the O(1)
-faulty-summary fold as elementwise expressions over a ``(bits, trials)``
-block.  Pipelines are memoized per (target, dataset fingerprint), so
-the per-bit shard entry point ``run_bit_trials`` keeps its historical
-signature while every shard of a field shares one encode and one
-decode; fork-pool workers inherit the warm cache from the parent.
+A :class:`FieldPipeline` is the one store of a campaign's field: it
+encodes the field once into the target format, decodes those patterns
+once into the stored (representable) values the baseline and the
+conversion report read, and serves every bit's trials as gathers from
+that store — flip/decode via ``decode_flips`` or ``decode_masked``,
+field classification, metrics, and the O(1) faulty-summary fold as
+elementwise expressions.  ``field_pipeline`` memoizes pipelines per
+(target, dataset fingerprint), so the per-bit shard entry point
+``run_bit_trials`` finds the pipeline the campaign runner built, and
+fork-pool workers inherit it from the parent.
 
 ``run_single_trial`` is the one-at-a-time form mirroring the paper's
 flowchart literally; the tests assert both produce identical records.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inject.faults import FaultModel, SingleBitFlip, apply_masks
+from repro.inject.faults import FaultModel, SingleBitFlip
 from repro.inject.results import TrialRecords
 from repro.formats import NumberFormat
 from repro.metrics.fast import FaultMetrics, vectorized_single_fault
@@ -114,7 +114,7 @@ def _batch_format(target: NumberFormat) -> NumberFormat:
 
 
 class FieldPipeline:
-    """Encode-once batch codec state for one (target, dataset) pair.
+    """The stored field of one (target, dataset) pair.
 
     Attributes
     ----------
@@ -122,74 +122,20 @@ class FieldPipeline:
         The format the campaign was asked to run against.
     batch:
         The (possibly different-backend) codec instance serving the
-        batched operations; decodes are bit-identical to ``target`` by
-        the conformance gate.
+        trial decodes; decodes are bit-identical to ``target`` by the
+        conformance gate.
     data / bits / stored:
-        The flat dataset, its stored patterns (encoded exactly once),
-        and the representable values those patterns decode to.
+        The flat dataset as given (raw or already stored), its patterns
+        in the target format (encoded exactly once), and the
+        representable values those patterns decode to.
     """
 
     def __init__(self, target: NumberFormat, data: np.ndarray) -> None:
         self.target = target
         self.batch = _batch_format(target)
         self.data = np.asarray(data).reshape(-1)
-        # Encode through the target instance: its encode-once memo is
-        # pre-seeded by round_trip, so campaign fields (always stored
-        # round-tripped) encode for free.
-        self.bits = self.target.encode_once(self.data)
+        self.bits = self.target.to_bits(self.data)
         self.stored = self.batch.from_bits(self.bits)
-
-    # -- batched execution ------------------------------------------------
-
-    def run_bits(
-        self,
-        bit_list,
-        indices2d: np.ndarray,
-        baseline: SummaryStats,
-        faults: "list[FaultModel] | None" = None,
-        rngs: "list[np.random.Generator] | None" = None,
-        fault_spec: str | None = None,
-    ) -> TrialRecords:
-        """All listed bits' trials in one batched pass.
-
-        ``indices2d[i]`` holds the element indices of bit
-        ``bit_list[i]``'s trials.  Row ``i`` of the result is
-        byte-identical to the per-bit records of
-        :func:`run_bit_trials` with the same indices.
-
-        ``faults`` (one model per row, with ``rngs`` holding each row's
-        generator positioned exactly as the per-shard stream would be)
-        generalizes the default single-flip decode to arbitrary fault
-        masks; the decode itself stays one whole-block gather.
-        """
-        bit_list = np.asarray(bit_list, dtype=np.int64)
-        indices2d = np.asarray(indices2d, dtype=np.int64)
-        bits_sel = self.bits[indices2d]
-        originals = self.stored[indices2d]
-        if faults is None:
-            faulty = self.batch.decode_flips(bits_sel, bit_list)
-        else:
-            nbits = self.target.nbits
-            patterns = np.empty_like(bits_sel)
-            for row, fault in enumerate(faults):
-                rng = rngs[row] if rngs is not None else np.random.default_rng(0)
-                masks = fault.masks(bits_sel[row].shape, nbits, rng)
-                patterns[row] = apply_masks(bits_sel[row], masks, nbits)
-            faulty = self.batch.from_bits(patterns)
-        fields = self.batch.classify_bits_batch(bits_sel, bit_list)
-        regimes = self.batch.regime_sizes(bits_sel)
-        metrics = vectorized_single_fault(baseline, originals, faulty)
-        return _assemble_records(
-            bit_list,
-            indices2d,
-            originals,
-            faulty,
-            fields,
-            regimes,
-            metrics,
-            baseline,
-            fault_spec=fault_spec,
-        )
 
     def run_bit(
         self,
@@ -214,15 +160,14 @@ class FieldPipeline:
         fields = self.batch.classify_bits(bits_sel, bit_index)
         regimes = self.batch.regime_sizes(bits_sel)
         metrics = vectorized_single_fault(baseline, originals, faulty)
-        bit_row = np.asarray([bit_index], dtype=np.int64)
         return _assemble_records(
-            bit_row,
-            indices[None, :],
-            originals[None, :],
-            np.asarray(faulty)[None, :],
-            np.asarray(fields)[None, :],
-            np.asarray(regimes)[None, :],
-            metrics.reshape((1, indices.size)),
+            bit_index,
+            indices,
+            originals,
+            faulty,
+            fields,
+            regimes,
+            metrics,
             baseline,
             fault_spec=fault_spec,
         )
@@ -263,7 +208,8 @@ def run_bit_trials(
     Parameters
     ----------
     data:
-        The full dataset (float array).
+        The full dataset (float array), raw or already stored; the
+        field's pipeline stores it.
     indices:
         Element index chosen for each trial.
     bit_index:
@@ -308,8 +254,8 @@ def _run_bit_trials(
 
 
 def _assemble_records(
-    bit_list: np.ndarray,
-    indices2d: np.ndarray,
+    bit_index: int,
+    indices: np.ndarray,
     originals: np.ndarray,
     faulty: np.ndarray,
     fields: np.ndarray,
@@ -318,12 +264,12 @@ def _assemble_records(
     baseline: SummaryStats,
     fault_spec: str | None = None,
 ) -> TrialRecords:
-    """Fold summary stats and flatten a ``(bits, trials)`` block to records.
+    """Fold summary stats into one bit position's trial records.
 
     The faulty array of each trial equals the original with one
     replacement, so its sum/extremes shift by closed form (see
-    ``SummaryStats.with_replacement``) — computed here once for the
-    whole block instead of per bit.
+    ``SummaryStats.with_replacement``) — computed here once for all
+    trials as elementwise expressions.
     """
     count = baseline.count
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,27 +286,23 @@ def _assemble_records(
     faulty_max = np.fmax(surviving_max, faulty)
     faulty_min = np.fmin(surviving_min, faulty)
 
-    rows, trials = indices2d.shape
+    trials = indices.size
     return TrialRecords(
-        trial=np.tile(np.arange(trials, dtype=np.int64), rows),
-        bit=np.repeat(bit_list, trials),
-        index=indices2d.ravel().copy(),
-        original=np.asarray(originals, dtype=np.float64).ravel(),
-        faulty=np.asarray(faulty, dtype=np.float64).ravel(),
-        field=np.asarray(fields, dtype=np.int64).ravel(),
-        regime_k=np.asarray(regimes, dtype=np.int64).ravel(),
-        abs_err=metrics.max_abs_err.ravel(),
-        rel_err=metrics.max_rel_err.ravel(),
-        range_rel_err=metrics.range_rel_err.ravel(),
-        mse=metrics.mse.ravel(),
-        faulty_mean=np.asarray(faulty_mean, dtype=np.float64).ravel(),
-        faulty_std=np.asarray(faulty_std, dtype=np.float64).ravel(),
-        faulty_max=np.asarray(faulty_max, dtype=np.float64).ravel(),
-        faulty_min=np.asarray(faulty_min, dtype=np.float64).ravel(),
-        non_finite=metrics.non_finite.ravel(),
-        fault_spec=(
-            None
-            if fault_spec is None
-            else np.full(rows * trials, fault_spec, dtype="<U32")
-        ),
+        trial=np.arange(trials, dtype=np.int64),
+        bit=np.full(trials, bit_index, dtype=np.int64),
+        index=indices.copy(),
+        original=np.asarray(originals, dtype=np.float64),
+        faulty=np.asarray(faulty, dtype=np.float64),
+        field=np.asarray(fields, dtype=np.int64),
+        regime_k=np.asarray(regimes, dtype=np.int64),
+        abs_err=metrics.max_abs_err,
+        rel_err=metrics.max_rel_err,
+        range_rel_err=metrics.range_rel_err,
+        mse=metrics.mse,
+        faulty_mean=np.asarray(faulty_mean, dtype=np.float64),
+        faulty_std=np.asarray(faulty_std, dtype=np.float64),
+        faulty_max=np.asarray(faulty_max, dtype=np.float64),
+        faulty_min=np.asarray(faulty_min, dtype=np.float64),
+        non_finite=metrics.non_finite,
+        fault_spec=None if fault_spec is None else np.full(trials, fault_spec, dtype="<U32"),
     )

@@ -123,18 +123,19 @@ class ShardSpec:
 class ShardJob:
     """What one shard of a value campaign computes, in any process.
 
-    Holds references to the runner's round-tripped field and baseline,
-    never copies: forked workers share them copy-on-write.
+    Holds references to the runner's field (as given, not stored) and
+    baseline, never copies: forked workers share them copy-on-write, and
+    each shard finds the runner's pipeline by looking the field up.
     """
 
     target: NumberFormat
-    stored: np.ndarray
+    data: np.ndarray
     baseline: SummaryStats
     fault: str
 
     def compute(self, bit: int, trials: int, seed) -> TrialRecords:
         return run_campaign_shard(
-            self.stored, self.target, bit, trials, seed, self.baseline,
+            self.data, self.target, bit, trials, seed, self.baseline,
             fault_spec=self.fault,
         )
 
@@ -336,12 +337,10 @@ class CampaignRunner:
         if self._flat.size == 0:
             raise ValueError("cannot run a campaign on an empty dataset")
         with telemetry_scope(self.telemetry):
-            self.stored = self.target.round_trip(self._flat)
+            # The one store of the field: the baseline, every shard (and
+            # every fork-pool worker), and the conversion report read it.
+            self.stored = field_pipeline(self.target, self._flat).stored
             self.baseline = SummaryStats.from_array(self.stored)
-            # Warm the encode-once pipeline in the parent so every shard
-            # (and every fork-pool worker) shares one encode and one
-            # decode of the field instead of rebuilding per worker.
-            field_pipeline(self.target, self.stored)
         self.job = self._build_job()
 
         if hooks is None:
@@ -371,7 +370,7 @@ class CampaignRunner:
 
     def _build_job(self):
         """The shard job every process of this run computes through."""
-        return ShardJob(self.target, self.stored, self.baseline, self.config.fault)
+        return ShardJob(self.target, self._flat, self.baseline, self.config.fault)
 
     def plan(self) -> list[ShardSpec]:
         """The per-bit shard plan, in ascending bit order."""
@@ -516,7 +515,7 @@ class CampaignRunner:
                     config=self.config,
                     baseline=self.baseline,
                     records=records,
-                    conversion=conversion_report(self._flat, self.target),
+                    conversion=conversion_report(self._flat, self.stored),
                     data_size=int(self._flat.size),
                     label=self.label,
                     extras={

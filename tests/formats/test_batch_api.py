@@ -1,4 +1,4 @@
-"""The batched codec surface: encode-once, row-wise flips, batch classify.
+"""The batched codec surface: broadcast and row-wise flips, backend policy.
 
 Identity tests run over *every* registered format and every bit
 position: the batch operations must reproduce the scalar API results
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.formats import (
-    DEFAULT_FORMATS,
     available_formats,
     batch_backend_name,
     flip_patterns,
@@ -23,31 +22,6 @@ def _dataset(rng, size=512):
     return np.concatenate(
         [rng.normal(50, 20, size // 2), rng.lognormal(-2, 2, size // 2)]
     ).astype(np.float32)
-
-
-class TestEncodeOnce:
-    def test_matches_to_bits(self, rng):
-        for name in DEFAULT_FORMATS:
-            fmt = get_format(name)
-            values = _dataset(rng)
-            assert np.array_equal(
-                np.asarray(fmt.encode_once(values)), np.asarray(fmt.to_bits(values))
-            ), name
-
-    def test_memoized_by_content(self, rng):
-        fmt = get_format("posit16")
-        values = _dataset(rng)
-        first = fmt.encode_once(values)
-        second = fmt.encode_once(values.copy())  # same content, new object
-        assert np.array_equal(first, second)
-
-    def test_cached_result_is_isolated(self, rng):
-        fmt = get_format("posit16")
-        values = _dataset(rng)
-        first = fmt.encode_once(values)
-        first[0] ^= 1  # caller mutation must not poison the cache
-        second = fmt.encode_once(values)
-        assert second[0] == np.asarray(fmt.to_bits(values[:1]))[0]
 
 
 class TestDecodeFlips:
@@ -79,27 +53,6 @@ class TestDecodeFlips:
         bits = np.array([0b0000, 0b1111], dtype=np.uint16)
         flipped = flip_patterns(bits, [0, 3], np.uint16)
         assert flipped.tolist() == [[0b0001, 0b1110], [0b1000, 0b0111]]
-
-
-class TestClassifyBatch:
-    @pytest.mark.parametrize("name", sorted(available_formats()))
-    def test_matches_scalar_classify_every_bit(self, name, rng):
-        fmt = get_format(name)
-        values = _dataset(rng, 256)
-        bits = np.asarray(fmt.to_bits(values))
-        bit_list = np.arange(fmt.nbits, dtype=np.int64)
-        rows = np.broadcast_to(bits, (fmt.nbits, values.size))
-        batched = fmt.classify_bits_batch(rows, bit_list)
-        for row, bit in enumerate(bit_list.tolist()):
-            assert np.array_equal(
-                batched[row], np.asarray(fmt.classify_bits(bits, bit))
-            ), (name, bit)
-
-    def test_out_of_range_bit_rejected(self):
-        fmt = get_format("posit16")
-        bits = np.asarray(fmt.to_bits(np.array([1.0, 2.0])))
-        with pytest.raises(ValueError, match="bit"):
-            fmt.classify_bits_batch(np.stack([bits]), [16])
 
 
 class TestBatchBackendPolicy:

@@ -1,25 +1,26 @@
-"""The encode-once field pipeline and the one-pass batched campaign path.
+"""The field pipeline: the one store of a campaign's field.
 
-The contract under test is byte-identity: routing the hot path through
-``FieldPipeline`` / ``run_field_trials`` must reproduce the per-bit
-shard output of ``run_campaign_shard`` exactly, down to the CSV bytes a
-run directory would contain.
+A campaign encodes its field exactly once, in the ``FieldPipeline`` the
+runner builds; the baseline, every shard, and the conversion report
+read that store.  Its stored values must equal ``round_trip`` of the
+raw field bit for bit, since the shard bytes depend on them.
 """
+
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.formats import resolve
+from repro.formats import available_formats, resolve
 from repro.inject import (
     CampaignConfig,
     FieldPipeline,
-    bit_seeds,
     field_pipeline,
-    run_campaign_shard,
-    run_field_trials,
+    run_campaign,
     run_single_trial,
 )
-from repro.metrics.summary import SummaryStats
+from repro.inject import trial
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -27,33 +28,6 @@ def field(rng):
     return np.concatenate(
         [rng.normal(50, 20, 512), rng.lognormal(-2, 2, 512)]
     ).astype(np.float32)
-
-
-class TestFieldBatchIdentity:
-    @pytest.mark.parametrize("name", ["posit16", "posit32", "ieee32", "posit8"])
-    def test_slices_match_per_bit_shards(self, name, field):
-        target = resolve(name)
-        stored = target.round_trip(field)
-        baseline = SummaryStats.from_array(stored)
-        config = CampaignConfig(trials_per_bit=37, seed=11)
-        seeds = bit_seeds(config, target)
-
-        batched = run_field_trials(stored, target, baseline, config)
-        assert len(batched) == target.nbits * 37
-        rows = batched.to_csv_string().splitlines()[2:]
-        for bit in range(target.nbits):
-            shard = run_campaign_shard(stored, target, bit, 37, seeds[bit], baseline)
-            chunk = shard.to_csv_string().splitlines()[2:]
-            assert rows[bit * 37 : (bit + 1) * 37] == chunk, (name, bit)
-
-    def test_bit_subset(self, field):
-        target = resolve("posit16")
-        stored = target.round_trip(field)
-        baseline = SummaryStats.from_array(stored)
-        config = CampaignConfig(trials_per_bit=5, bits=(1, 7, 15), seed=3)
-        batched = run_field_trials(stored, target, baseline, config)
-        assert sorted(set(batched.bit.tolist())) == [1, 7, 15]
-        assert len(batched) == 15
 
 
 class TestPipelineCache:
@@ -69,13 +43,34 @@ class TestPipelineCache:
         assert p16 is not p32
         assert p16.target.nbits == 16 and p32.target.nbits == 32
 
-    def test_pipeline_encodes_once(self, field):
-        target = resolve("posit32")
-        pipeline = FieldPipeline(target, field)
+    @pytest.mark.parametrize("name", sorted(available_formats()))
+    def test_pipeline_encodes_once(self, name, field):
+        target = resolve(name)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        raw = np.concatenate([field, special])
+        pipeline = FieldPipeline(target, raw)
         assert np.array_equal(
-            np.asarray(pipeline.bits), np.asarray(target.to_bits(field))
+            np.asarray(pipeline.bits), np.asarray(target.to_bits(raw))
         )
-        assert np.array_equal(pipeline.stored, target.round_trip(field))
+        assert np.array_equal(
+            np.asarray(pipeline.stored, dtype=np.float64).view(np.uint64),
+            np.asarray(target.round_trip(raw), dtype=np.float64).view(np.uint64),
+        )
+
+
+class TestStoreOnce:
+    """An in-memory campaign encodes its field once and decodes it once."""
+
+    @pytest.mark.parametrize("name", ["posit32", "ieee32", "posit16"])
+    def test_campaign_stores_field_once(self, name, field, monkeypatch):
+        # A fresh pipeline memo, so no earlier test's pipeline is reused.
+        monkeypatch.setattr(trial, "_PIPELINE_CACHE", OrderedDict())
+        config = CampaignConfig(trials_per_bit=5, bits=(0, 3, 9, 15), seed=7)
+        collector = Telemetry()
+        result = run_campaign(field, name, config, telemetry=collector)
+        counters = collector.snapshot().counters
+        assert counters["formats.encode.values"] == field.size
+        assert counters["formats.decode.values"] == field.size + result.trial_count
 
 
 class TestScalarRelErrConvention:

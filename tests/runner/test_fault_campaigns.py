@@ -12,16 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.inject.campaign import (
-    CampaignConfig,
-    run_campaign,
-    run_campaign_shard,
-    run_field_trials,
-    bit_seeds,
-)
+from repro.inject.campaign import CampaignConfig, run_campaign
 from repro.inject.faultspec import FaultSpecError
 from repro.inject.results import TrialRecords
-from repro.metrics.summary import SummaryStats
 from repro.runner import RunManifest, verify_run
 from repro.runner.manifest import MANIFEST_NAME
 
@@ -128,38 +121,6 @@ class TestExecutorsAgreeUnderFaults:
             ]
         assert checksums["serial"] == checksums["pool"]
         assert checksums["serial"] == checksums["work-stealing"]
-
-
-class TestBatchedFieldPathMatchesShards:
-    @pytest.mark.parametrize(
-        "fault", ["single", "adjacent(2)", "random(2)", "burst(3,0.5)", "stuckat(3,1)"]
-    )
-    def test_run_field_trials_equals_per_shard(self, small_field, fault):
-        from repro.formats import resolve
-
-        target = resolve("posit16")
-        config = CampaignConfig(trials_per_bit=6, bits=(0, 2, 14, 15), seed=31,
-                                fault=fault)
-        stored = target.round_trip(np.asarray(small_field, dtype=np.float64))
-        baseline = SummaryStats.from_array(stored)
-        batched = run_field_trials(stored, target, baseline, config)
-        seeds = bit_seeds(config, target)
-        shards = [
-            run_campaign_shard(stored, target, bit, config.trials_per_bit,
-                               seeds[bit], baseline, fault_spec=config.fault)
-            for bit in config.bits
-        ]
-        merged = TrialRecords.concatenate(shards)
-        assert len(batched) == len(merged)
-        for column in batched.column_names():
-            lhs, rhs = getattr(batched, column), getattr(merged, column)
-            if lhs is None or rhs is None:
-                assert lhs is None and rhs is None, column
-                continue
-            assert np.array_equal(
-                np.asarray(lhs), np.asarray(rhs),
-                equal_nan=getattr(lhs, "dtype", np.dtype(object)).kind == "f",
-            ), column
 
 
 class TestVerifyIsFaultAware:
