@@ -132,34 +132,32 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _campaign_jobs(args) -> int | None:
-    """Merge --jobs with the deprecated --workers alias (None = auto)."""
-    if getattr(args, "workers", None) is not None:
-        import warnings
-
-        if args.jobs is not None:
-            raise SystemExit("error: pass either --jobs or --workers, not both")
-        warnings.warn(
-            "--workers is deprecated; use --jobs", DeprecationWarning, stacklevel=2
-        )
-        return args.workers
-    return args.jobs
-
-
 def _print_campaign_result(result, field: str, target: str, out: str | None) -> None:
-    print(
-        f"campaign: {result.trial_count} trials on {field} as "
-        f"{result.target_name} (data size {result.data_size})"
-    )
-    print(
-        f"conversion: mean rel err {result.conversion.mean_relative_error:.3e}, "
-        f"exact fraction {result.conversion.exact_fraction:.3f}"
-    )
+    """Summarize a value or app campaign, then write or tabulate its records."""
+    app = hasattr(result.records, "outcome")
+    if app:
+        from repro.analysis.appsweep import outcome_counts
+
+        counts = outcome_counts(result.records)
+        print(
+            f"app campaign: {result.trial_count} fault trials on {field} as "
+            f"{result.target_name} (state size {result.data_size})"
+        )
+        print("outcomes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
+    else:
+        print(
+            f"campaign: {result.trial_count} trials on {field} as "
+            f"{result.target_name} (data size {result.data_size})"
+        )
+        print(
+            f"conversion: mean rel err {result.conversion.mean_relative_error:.3e}, "
+            f"exact fraction {result.conversion.exact_fraction:.3f}"
+        )
     if result.extras.get("run_dir"):
         resumed = result.extras.get("resumed_shards", 0)
         note = f" ({resumed} shard(s) restored)" if resumed else ""
         print(f"run dir: {result.extras['run_dir']}{note}")
-    snapshot = result.extras.get("telemetry")
+    snapshot = None if app else result.extras.get("telemetry")
     if snapshot is not None and not snapshot.empty:
         from repro.telemetry import format_duration
 
@@ -178,7 +176,7 @@ def _print_campaign_result(result, field: str, target: str, out: str | None) -> 
     if out:
         result.records.write_csv(out)
         print(f"wrote {out}")
-    else:
+    elif not app:
         from repro.analysis.aggregate import aggregate_by_bit
         from repro.reporting.series import Figure, Series
         from repro.reporting.tables import render_series_table
@@ -207,13 +205,20 @@ def _parse_inject_at(text: str) -> tuple[int, ...]:
     return schedule
 
 
-def _app_target_spec(args) -> str:
-    """The single positional (the format spec) in --app mode.
+def _campaign_target(args, command: str) -> str:
+    """The format positional of ``campaign run/submit``.
 
-    The ``field`` and ``target`` positionals are both optional so that
-    app campaigns can be spelled ``campaign run --app cg posit32``;
-    argparse binds that lone positional to ``field``.
+    Value campaigns take ``FIELD TARGET``.  The ``field`` and ``target``
+    positionals are both optional so that app campaigns can be spelled
+    ``campaign run --app cg posit32``; argparse binds that lone
+    positional to ``field``.
     """
+    if not args.app:
+        if args.field is None or args.target is None:
+            print(f"error: {command} needs FIELD and TARGET positionals "
+                  "(or --app APP with a single format positional)", file=sys.stderr)
+            raise SystemExit(2)
+        return args.target
     positionals = [p for p in (args.field, args.target) if p is not None]
     if len(positionals) != 1:
         raise SystemExit(
@@ -223,99 +228,66 @@ def _app_target_spec(args) -> str:
     return positionals[0]
 
 
-def _print_app_campaign_result(result, app: str, target: str, out: str | None) -> None:
-    from repro.analysis.appsweep import outcome_counts
+def _campaign_runner(args, target: str, fault: str, **kwargs):
+    """The one place parsed campaign args become a runner.
 
-    counts = outcome_counts(result.records)
-    print(
-        f"app campaign: {result.trial_count} fault trials on {app} as "
-        f"{result.target_name} (state size {result.data_size})"
-    )
-    print("outcomes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    if result.extras.get("run_dir"):
-        resumed = result.extras.get("resumed_shards", 0)
-        note = f" ({resumed} shard(s) restored)" if resumed else ""
-        print(f"run dir: {result.extras['run_dir']}{note}")
-    if out:
-        result.records.write_csv(out)
-        print(f"wrote {out}")
+    A dataset field gives a :class:`repro.runner.CampaignRunner` over the
+    regenerated preset, with its provenance recorded so ``campaign
+    resume`` and lease workers can rebuild the field; ``--app`` gives an
+    :class:`repro.apps.campaign.AppCampaignRunner`.  ``kwargs`` (label,
+    run_dir, jobs, trace, ...) go to the runner.
+    """
+    bits = getattr(args, "bits", None)  # only submit/sweep take --bits
+    bits = tuple(range(bits)) if bits is not None else None
+    if args.app:
+        from repro.apps.campaign import AppCampaignConfig, AppCampaignRunner
 
-
-def _cmd_app_campaign_run(args) -> int:
-    from repro.apps.campaign import AppCampaignConfig, run_app_campaign
-    from repro.inject.faultspec import FaultSpecError
-
-    target = _app_target_spec(args)
-    try:
         config = AppCampaignConfig(
             app=args.app,
             grid=args.grid,
             iterations=_parse_inject_at(args.inject_at),
             trials_per_cell=args.trials if args.trials is not None else 3,
+            bits=bits,
             seed=args.seed,
-            fault=args.fault,
+            fault=fault,
             sdc_threshold=args.sdc_threshold,
         )
-    except (FaultSpecError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    result = run_app_campaign(
-        config,
-        target,
-        jobs=_campaign_jobs(args),
-        executor=args.executor,
-        run_dir=args.run_dir,
-        progress=args.progress,
-        resume=args.resume,
-        telemetry=True if args.profile else None,
-        trace=True if args.trace else None,
+        return AppCampaignRunner(config, target, **kwargs)
+    from repro.datasets.registry import get as get_preset
+    from repro.inject.campaign import PAPER_TRIALS_PER_BIT, CampaignConfig
+    from repro.runner import CampaignRunner
+
+    data = get_preset(args.field).generate(seed=args.seed, size=args.size)
+    config = CampaignConfig(
+        trials_per_bit=args.trials if args.trials is not None else PAPER_TRIALS_PER_BIT,
+        bits=bits,
+        seed=args.seed,
+        fault=fault,
     )
-    _print_app_campaign_result(result, config.app, target, args.out)
-    return 0
+    kwargs.setdefault("label", args.field)
+    dataset = {"kind": "preset", "field": args.field, "size": args.size, "seed": args.seed}
+    return CampaignRunner(data, target, config, dataset=dataset, **kwargs)
 
 
 def _cmd_campaign_run(args) -> int:
-    from repro.datasets.registry import get as get_preset
-    from repro.inject.campaign import CampaignConfig, run_campaign
-    from repro.inject.faultspec import FaultSpecError
-
-    if args.app:
-        return _cmd_app_campaign_run(args)
-    if args.field is None or args.target is None:
-        print("error: campaign run needs FIELD and TARGET positionals "
-              "(or --app APP with a single format positional)", file=sys.stderr)
-        return 2
-    preset = get_preset(args.field)
-    data = preset.generate(seed=args.seed, size=args.size)
+    target = _campaign_target(args, "campaign run")
     try:
-        config = CampaignConfig(
-            trials_per_bit=args.trials if args.trials is not None else 313,
-            seed=args.seed,
-            fault=args.fault,
+        runner = _campaign_runner(
+            args,
+            target,
+            args.fault,
+            jobs=args.jobs,
+            executor=args.executor,
+            run_dir=args.run_dir,
+            progress=args.progress,
+            telemetry=True if args.profile else None,
+            trace=True if args.trace else None,
         )
-    except FaultSpecError as error:
+    except ValueError as error:  # fault spec, format spec, or app schedule
         print(f"error: {error}", file=sys.stderr)
         return 1
-    result = run_campaign(
-        data,
-        args.target,
-        config,
-        label=args.field,
-        jobs=_campaign_jobs(args),
-        executor=args.executor,
-        run_dir=args.run_dir,
-        progress=args.progress,
-        resume=args.resume,
-        telemetry=True if args.profile else None,
-        trace=True if args.trace else None,
-        dataset={
-            "kind": "preset",
-            "field": args.field,
-            "size": args.size,
-            "seed": args.seed,
-        },
-    )
-    _print_campaign_result(result, args.field, args.target, args.out)
+    result = runner.run(resume=args.resume)
+    _print_campaign_result(result, args.app or args.field, target, args.out)
     return 0
 
 
@@ -343,16 +315,12 @@ def _cmd_campaign_resume(args) -> int:
             )
             return 1
     result = resume_campaign(
-        args.run_dir, jobs=_campaign_jobs(args), executor=args.executor,
+        args.run_dir, jobs=args.jobs, executor=args.executor,
         progress=args.progress,
         telemetry=True if args.profile else None,
         trace=True if args.trace else None,
     )
-    field = result.label or "dataset"
-    if hasattr(result.records, "outcome"):
-        _print_app_campaign_result(result, field, result.target_name, args.out)
-    else:
-        _print_campaign_result(result, field, result.target_name, args.out)
+    _print_campaign_result(result, result.label or "dataset", result.target_name, args.out)
     return 0
 
 
@@ -420,48 +388,45 @@ def _resolve_service_run_dir(ref: str):
         raise SystemExit(1) from None
 
 
-def _cmd_campaign_submit(args) -> int:
+def _submit_runs(args, formats: list[str], faults: list[str], label) -> list | None:
+    """Submit one registry run per (format, fault model) cell.
+
+    Each run is built by :func:`_campaign_runner` for the directory the
+    registry allocates; ``label(fault)`` names it.  On failure the error
+    (and every run already submitted) is printed and ``None`` returned.
+    """
     from repro.service import RunRegistry, ServiceError
 
-    bits = tuple(range(args.bits)) if args.bits is not None else None
+    registry = RunRegistry()
+    field = f"app/{args.app}" if args.app else args.field
+    trace = True if args.trace else None
+    entries = []
     try:
-        if args.app:
-            entry = RunRegistry().submit_app_run(
-                args.app,
-                _app_target_spec(args),
-                grid=args.grid,
-                iterations=_parse_inject_at(args.inject_at),
-                trials_per_cell=args.trials if args.trials is not None else 3,
-                bits=bits,
-                seed=args.seed,
-                fault=args.fault,
-                sdc_threshold=args.sdc_threshold,
-                label=args.label or args.app,
-                project=args.project,
-                trace=args.trace,
-            )
-        else:
-            if args.field is None or args.target is None:
-                print("error: campaign submit needs FIELD and TARGET positionals "
-                      "(or --app APP with a single format positional)",
-                      file=sys.stderr)
-                return 2
-            entry = RunRegistry().submit_run(
-                args.field,
-                args.target,
-                trials_per_bit=args.trials if args.trials is not None else 313,
-                bits=bits,
-                seed=args.seed,
-                size=args.size,
-                data_seed=args.seed,
-                label=args.label or args.field,
-                project=args.project,
-                trace=args.trace,
-                fault=args.fault,
-            )
+        for fmt in formats:
+            for fault in faults:
+                def build(run_dir, fmt=fmt, fault=fault):
+                    return _campaign_runner(args, fmt, fault, label=label(fault),
+                                            run_dir=run_dir, trace=trace)
+
+                name = f"{args.app}-{fmt}" if args.app else fmt
+                entries.append(registry.submit(build, name=name, field=field,
+                                               project=args.project))
     except (ServiceError, KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
+        for entry in entries:
+            print(f"note: {entry.run_id} was submitted before the failure",
+                  file=sys.stderr)
+        return None
+    return entries
+
+
+def _cmd_campaign_submit(args) -> int:
+    target = _campaign_target(args, "campaign submit")
+    label = args.label or args.app or args.field
+    entries = _submit_runs(args, [target], [args.fault], lambda fault: label)
+    if entries is None:
         return 1
+    [entry] = entries
     if args.json:
         import json
 
@@ -494,7 +459,6 @@ def _split_specs(text: str) -> list[str]:
 
 def _cmd_campaign_sweep(args) -> int:
     from repro.inject.faultspec import FaultSpecError, resolve_fault
-    from repro.service import RunRegistry, ServiceError
 
     formats = _split_specs(args.formats)
     faults = _split_specs(args.faults)
@@ -515,50 +479,9 @@ def _cmd_campaign_sweep(args) -> int:
         print("error: campaign sweep needs the FIELD positional (or --app APP)",
               file=sys.stderr)
         return 2
-    registry = RunRegistry()
-    bits = tuple(range(args.bits)) if args.bits is not None else None
-    entries = []
-    try:
-        for fmt in formats:
-            for fault in faults:
-                if args.app:
-                    entries.append(registry.submit_app_run(
-                        args.app,
-                        fmt,
-                        grid=args.grid,
-                        iterations=_parse_inject_at(args.inject_at),
-                        trials_per_cell=(
-                            args.trials if args.trials is not None else 3
-                        ),
-                        bits=bits,
-                        seed=args.seed,
-                        fault=fault,
-                        sdc_threshold=args.sdc_threshold,
-                        label=f"{args.app} [{fault}]",
-                        project=args.project,
-                        trace=args.trace,
-                    ))
-                else:
-                    entries.append(registry.submit_run(
-                        args.field,
-                        fmt,
-                        trials_per_bit=(
-                            args.trials if args.trials is not None else 313
-                        ),
-                        bits=bits,
-                        seed=args.seed,
-                        size=args.size,
-                        data_seed=args.seed,
-                        label=f"{args.field} [{fault}]",
-                        project=args.project,
-                        trace=args.trace,
-                        fault=fault,
-                    ))
-    except (ServiceError, KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        for entry in entries:
-            print(f"note: {entry.run_id} was submitted before the failure",
-                  file=sys.stderr)
+    base = args.app or args.field
+    entries = _submit_runs(args, formats, faults, lambda fault: f"{base} [{fault}]")
+    if entries is None:
         return 1
     if args.json:
         import json
@@ -815,6 +738,7 @@ def _cmd_conformance_bless(args) -> int:
 
 def _cmd_suite(args) -> int:
     from repro.inject.suite import SuiteConfig, run_suite
+    from repro.runner import RunnerError
 
     if args.fields:
         fields = tuple(args.fields.split(","))
@@ -829,12 +753,15 @@ def _cmd_suite(args) -> int:
 
     def progress(field_key, target, campaign):
         if campaign is None:
-            print(f"  [skip] {field_key} x {target} (log exists)")
+            print(f"  [skip] {field_key} x {target} (run complete)")
         else:
             print(f"  [done] {field_key} x {target}: {campaign.trial_count} trials")
 
-    result = run_suite(config, args.out, workers=args.workers,
-                       resume=not args.no_resume, progress=progress)
+    try:
+        result = run_suite(config, args.out, jobs=args.jobs, progress=progress)
+    except RunnerError as error:  # old-layout directory, or a different campaign
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(
         f"suite: {len(result.completed)} campaigns run, "
         f"{len(result.skipped)} resumed from {args.out}"
@@ -1000,8 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default: single)")
     pr.add_argument("--jobs", type=_jobs_arg, default=None,
                     help="worker processes (default: auto-size to CPUs)")
-    pr.add_argument("--workers", type=_jobs_arg, default=None,
-                    help=argparse.SUPPRESS)  # deprecated alias for --jobs
     pr.add_argument("--executor", choices=("serial", "pool", "work-stealing"),
                     default=None,
                     help="execution mechanism (default: serial or pool "
@@ -1031,8 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "comes from the manifest)")
     pres.add_argument("--jobs", type=_jobs_arg, default=None,
                       help="worker processes (default: auto-size to CPUs)")
-    pres.add_argument("--workers", type=_jobs_arg, default=None,
-                      help=argparse.SUPPRESS)
     pres.add_argument("--executor", choices=("serial", "pool", "work-stealing"),
                       default=None,
                       help="execution mechanism (default: serial or pool "
@@ -1290,9 +1213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1 << 17)
     p.add_argument("--trials", type=int, default=313)
     p.add_argument("--seed", type=int, default=2023)
-    p.add_argument("--workers", type=_jobs_arg, default=None)
-    p.add_argument("--no-resume", action="store_true",
-                   help="re-run campaigns even when logs exist")
+    p.add_argument("--jobs", type=_jobs_arg, default=None,
+                   help="worker processes per campaign (default: auto-size to CPUs)")
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("report", help="write the full reproduction report")

@@ -39,7 +39,7 @@ from repro.inject.faultspec import (
     resolve_fault,
 )
 from repro.inject.results import TrialRecords
-from repro.inject.suite import SuiteConfig, SuiteResult, load_manifest, run_suite
+from repro.inject.suite import SuiteConfig, SuiteResult, run_suite
 from repro.inject.validate import VerificationReport, verify_records
 from repro.inject.trial import (
     FieldPipeline,
@@ -77,7 +77,6 @@ __all__ = [
     "TrialRecords",
     "VerificationReport",
     "field_pipeline",
-    "load_manifest",
     "run_suite",
     "verify_records",
     "apply_masks",

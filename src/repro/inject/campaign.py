@@ -140,13 +140,6 @@ def conversion_report(data, stored) -> ConversionReport:
     )
 
 
-#: Memoized SeedSequence children per (seed, nbits): spawning is pure
-#: (the children are only ever read, never re-spawned), and a multi-field
-#: campaign re-derives the same spawn tree once per field otherwise.
-_BIT_SEED_CACHE: dict[tuple[int, int], tuple[np.random.SeedSequence, ...]] = {}
-_BIT_SEED_CACHE_SIZE = 16
-
-
 def bit_seeds(config: CampaignConfig, target: NumberFormat) -> dict[int, np.random.SeedSequence]:
     """One independent child seed per bit position.
 
@@ -154,14 +147,7 @@ def bit_seeds(config: CampaignConfig, target: NumberFormat) -> dict[int, np.rand
     filtered, so a campaign over a subset of bits reproduces the same
     per-bit streams as the full campaign.
     """
-    cache_key = (config.seed, target.nbits)
-    children = _BIT_SEED_CACHE.get(cache_key)
-    if children is None:
-        root = np.random.SeedSequence(config.seed)
-        children = tuple(root.spawn(target.nbits))
-        _BIT_SEED_CACHE[cache_key] = children
-        while len(_BIT_SEED_CACHE) > _BIT_SEED_CACHE_SIZE:
-            del _BIT_SEED_CACHE[next(iter(_BIT_SEED_CACHE))]
+    children = np.random.SeedSequence(config.seed).spawn(target.nbits)
     wanted = set(config.resolved_bits(target))
     return {bit: children[bit] for bit in range(target.nbits) if bit in wanted}
 

@@ -8,8 +8,11 @@ lives under the service's ``runs_dir`` and has a row in ``index.json``::
       index.json                 <- {"runs": {run_id: entry}, "next": N}
       default/posit16-0001/      <- <project>/<run_id>/ run directory
 
-``submit_run`` plans the campaign and writes its manifest in *submitted*
-state (:meth:`repro.runner.CampaignRunner.submit`) without computing
+``RunRegistry.submit`` allocates a run directory, hands it to a
+caller-built runner (a value campaign over a dataset preset, an app
+campaign, anything that is a :class:`repro.runner.CampaignRunner`), and
+has the runner write its manifest in *submitted* state
+(:meth:`repro.runner.CampaignRunner.submit`) without computing
 anything; any number of ``campaign worker`` processes — on any machine
 that mounts the same filesystem — then claim shards through lease files
 until the run completes.  The registry only ever records pointers and
@@ -17,8 +20,9 @@ submission-time metadata; run *state* always comes fresh from the run
 directory itself (:func:`run_status_payload`), so the index can never
 disagree with the ground truth.
 
-Datasets must be registry presets: the manifest's provenance record is
-what lets a worker on another machine regenerate the exact field
+A submitted run must record a regenerable dataset source (a registry
+preset, or an app's problem definition): the manifest's provenance is
+what lets a worker on another machine rebuild the exact field
 (fingerprint-checked) without shipping arrays around.
 """
 
@@ -112,67 +116,33 @@ class RunRegistry:
 
     # -- resource verbs -----------------------------------------------------
 
-    def submit_run(
-        self,
-        field: str,
-        target: str,
-        *,
-        trials_per_bit: int,
-        bits: tuple[int, ...] | None = None,
-        seed: int = 12345,
-        size: int = 10_000,
-        data_seed: int = 777,
-        label: str = "",
-        project: str = "default",
-        trace: bool = False,
-        fault: str = "single",
-    ) -> RunEntry:
+    def submit(self, build, *, name: str, field: str,
+               project: str = "default") -> RunEntry:
         """Register and submit a campaign without executing any shard.
 
-        The dataset is a registry preset regenerated (and fingerprint-
-        checked) by every worker from the manifest's provenance record —
-        the submitting machine never ships arrays to the workers.
-
-        ``trace`` records distributed tracing in the manifest, so every
-        worker that later claims shards writes trace spans and metrics
-        time-series without needing ``REPRO_TRACE`` set on its machine.
-
-        ``fault`` is a fault-model spec (:mod:`repro.inject.faultspec`);
-        it joins the manifest identity, so every worker that claims a
-        shard injects under the same model.
+        ``build(run_dir)`` returns the runner — a
+        :class:`repro.runner.CampaignRunner` or any subclass, such as an
+        app campaign's — for the run directory the registry allocates;
+        the registry calls its :meth:`~repro.runner.CampaignRunner.submit`
+        and records the row.  ``name`` prefixes the run id
+        (``<name>-NNNN``, e.g. ``posit32-0001`` or ``cg-posit16-0002``) and
+        ``field`` is the listing's field column.  The runner must record
+        a regenerable dataset source, because workers on other machines
+        rebuild the field from the manifest.
         """
-        from repro.datasets.registry import get as get_preset
-        from repro.inject.campaign import CampaignConfig
-        from repro.runner import CampaignRunner
-
-        data = get_preset(field).generate(seed=int(data_seed), size=int(size))
         index = self._read_index()
         seq = int(index.get("next", 1))
-        run_id = f"{_slug(target)}-{seq:04d}"
+        run_id = f"{_slug(name)}-{seq:04d}"
         run_dir = self.runs_dir / _slug(project) / run_id
         if run_dir.exists():
             raise ServiceError(f"registry run directory {run_dir} already exists")
 
-        config = CampaignConfig(
-            trials_per_bit=int(trials_per_bit),
-            bits=tuple(bits) if bits is not None else None,
-            seed=int(seed),
-            fault=fault,
-        )
-        runner = CampaignRunner(
-            data,
-            target,
-            config,
-            label=label,
-            run_dir=run_dir,
-            dataset={
-                "kind": "preset",
-                "field": field,
-                "seed": int(data_seed),
-                "size": int(size),
-            },
-            trace=True if trace else None,
-        )
+        runner = build(run_dir)
+        if runner.dataset is None:
+            raise ServiceError(
+                "a submitted run needs a regenerable dataset source: workers "
+                "rebuild the field from the manifest"
+            )
         runner.submit()
 
         entry = RunEntry(
@@ -181,73 +151,7 @@ class RunRegistry:
             run_dir=str(run_dir),
             field=field,
             target=runner.target.name,
-            label=label,
-            submitted_at=time.time(),
-        )
-        index["next"] = seq + 1
-        index.setdefault("runs", {})[run_id] = entry.to_json()
-        self._write_index(index)
-        return entry
-
-    def submit_app_run(
-        self,
-        app: str,
-        target: str,
-        *,
-        grid: int = 16,
-        iterations: tuple[int, ...] = (10,),
-        trials_per_cell: int = 3,
-        bits: tuple[int, ...] | None = None,
-        seed: int = 12345,
-        fault: str = "single",
-        sdc_threshold: float = 1e-3,
-        label: str = "",
-        project: str = "default",
-        trace: bool = False,
-    ) -> RunEntry:
-        """Register and submit an app campaign without executing any cell.
-
-        App campaigns need no dataset preset: the manifest's app payload
-        (solver, grid, injection schedule, thresholds) is the complete
-        provenance, and every worker rebuilds the Poisson problem from
-        it.  The registry row's ``field`` is ``app/<name>`` so listings
-        distinguish app campaigns from value campaigns at a glance.
-        """
-        from repro.apps.campaign import AppCampaignConfig, AppCampaignRunner
-
-        config = AppCampaignConfig(
-            app=app,
-            grid=int(grid),
-            iterations=tuple(iterations),
-            trials_per_cell=int(trials_per_cell),
-            bits=tuple(bits) if bits is not None else None,
-            seed=int(seed),
-            fault=fault,
-            sdc_threshold=float(sdc_threshold),
-        )
-        index = self._read_index()
-        seq = int(index.get("next", 1))
-        run_id = f"{_slug(app)}-{_slug(target)}-{seq:04d}"
-        run_dir = self.runs_dir / _slug(project) / run_id
-        if run_dir.exists():
-            raise ServiceError(f"registry run directory {run_dir} already exists")
-
-        runner = AppCampaignRunner(
-            config,
-            target,
-            label=label or app,
-            run_dir=run_dir,
-            trace=True if trace else None,
-        )
-        runner.submit()
-
-        entry = RunEntry(
-            run_id=run_id,
-            project=project,
-            run_dir=str(run_dir),
-            field=f"app/{app}",
-            target=runner.target.name,
-            label=label or app,
+            label=runner.label,
             submitted_at=time.time(),
         )
         index["next"] = seq + 1

@@ -67,7 +67,7 @@ class TestCampaign:
     def test_prints_aggregate(self, capsys):
         code = main([
             "campaign", "run", "cesm/cloud", "posit32",
-            "--size", "4096", "--trials", "4", "--workers", "1",
+            "--size", "4096", "--trials", "4", "--jobs", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -80,7 +80,7 @@ class TestCampaign:
         with pytest.raises(SystemExit) as exc:
             main([
                 "campaign", "cesm/cloud", "posit32",
-                "--size", "2048", "--trials", "2", "--workers", "1",
+                "--size", "2048", "--trials", "2", "--jobs", "1",
             ])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
@@ -89,7 +89,7 @@ class TestCampaign:
         out_path = tmp_path / "trials.csv"
         code = main([
             "campaign", "run", "cesm/cloud", "ieee32",
-            "--size", "4096", "--trials", "3", "--workers", "1",
+            "--size", "4096", "--trials", "3", "--jobs", "1",
             "--out", str(out_path),
         ])
         assert code == 0
@@ -120,24 +120,31 @@ class TestCampaignRunCommand:
             main(["campaign", "run", "cesm/cloud", "posit32", "--jobs", "two"])
         assert "must be an integer" in capsys.readouterr().err
 
-    def test_rejects_jobs_and_workers_together(self, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "campaign", "run", "cesm/cloud", "posit32",
-                "--size", "1024", "--trials", "1", "--jobs", "1", "--workers", "1",
-            ])
+    def test_app_run_and_resume(self, tmp_path, capsys):
+        run_dir = tmp_path / "cg"
+        assert main([
+            "campaign", "run", "--app", "cg", "posit16", "--grid", "6",
+            "--inject-at", "2", "--trials", "1", "--jobs", "1", "--run-dir", str(run_dir),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "app campaign: 16 fault trials on cg as posit16" in out
+        assert "outcomes: " in out
+        assert main(["campaign", "resume", str(run_dir), "--jobs", "1"]) == 0
+        assert "(16 shard(s) restored)" in capsys.readouterr().out
 
-    def test_workers_alias_warns(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--jobs"):
-            code = main([
-                "campaign", "run", "cesm/cloud", "posit32",
-                "--size", "1024", "--trials", "1", "--workers", "1",
-            ])
-        assert code == 0
+    def test_bad_app_schedule_exits_1(self, capsys):
+        assert main(["campaign", "run", "--app", "cg", "posit16", "--inject-at", "0"]) == 1
+        assert "1-based" in capsys.readouterr().err
+
+    def test_workers_alias_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "run", "cesm/cloud", "posit32", "--workers", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_suite_rejects_bad_workers(self, capsys):
         with pytest.raises(SystemExit):
-            main(["suite", "--workers", "-2"])
+            main(["suite", "--jobs", "-2"])
         assert "jobs must be >= 1" in capsys.readouterr().err
 
 
@@ -223,7 +230,7 @@ class TestSuiteCommand:
 
         args = [
             "suite", "--out", str(tmp_path), "--fields", "cesm/cloud",
-            "--size", "1024", "--trials", "2", "--workers", "1",
+            "--size", "1024", "--trials", "2", "--jobs", "1",
         ]
         assert cli_main(args) == 0
         out = capsys.readouterr().out

@@ -82,6 +82,46 @@ class TestSubmitLifecycle:
         assert "cancelled" in out
 
 
+class TestSweepAndSubmitCells:
+    """submit is a one-format x one-fault sweep: same ids, labels, rows."""
+
+    def test_value_sweep_entries(self, service_home, capsys):
+        assert main([
+            "campaign", "sweep", "cesm/cloud", "--formats", "posit16,ieee16",
+            "--faults", "single,adjacent(2)", "--size", "512", "--trials", "1",
+            "--bits", "2", "--json",
+        ]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [(e["run_id"], e["target"], e["label"]) for e in entries] == [
+            ("posit16-0001", "posit16", "cesm/cloud [single]"),
+            ("posit16-0002", "posit16", "cesm/cloud [adjacent(2)]"),
+            ("ieee16-0003", "ieee16", "cesm/cloud [single]"),
+            ("ieee16-0004", "ieee16", "cesm/cloud [adjacent(2)]"),
+        ]
+        assert {e["field"] for e in entries} == {"cesm/cloud"}
+
+    def test_app_submit_and_sweep_entries(self, service_home, capsys):
+        app = ["--app", "cg", "--grid", "6", "--inject-at", "2", "--trials", "1",
+               "--bits", "2"]
+        assert main(["campaign", "submit", "posit16", *app, "--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)
+        assert (entry["run_id"], entry["field"], entry["label"]) == (
+            "cg-posit16-0001", "app/cg", "cg")
+        assert main(["campaign", "sweep", "--formats", "ieee16", *app]) == 0
+        out = capsys.readouterr().out
+        assert "1 run(s) submitted" in out
+        assert "cg-ieee16-0002" in out and "cg [single]" in out
+
+    def test_failed_cell_names_earlier_runs(self, service_home, capsys):
+        assert main([
+            "campaign", "sweep", "cesm/cloud", "--formats", "posit16,nope99",
+            "--size", "512", "--trials", "1", "--bits", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "nope99" in err
+        assert "note: posit16-0001 was submitted before the failure" in err
+
+
 class TestStatusSchemaLock:
     """`campaign status --json` and `campaign get --json` are one schema."""
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.runner import RunManifest, run_worker
+from repro.datasets.registry import get as get_preset
+from repro.inject.campaign import CampaignConfig
+from repro.runner import CampaignRunner, RunManifest, run_worker
 from repro.service import (
     STATUS_SCHEMA,
     RunRegistry,
@@ -19,10 +21,24 @@ def registry(tmp_path, monkeypatch):
     return RunRegistry()
 
 
+def submit_preset(registry, field, target, *, trials_per_bit, bits=None, seed=12345,
+                  size=10_000, data_seed=777, project="default", trace=False):
+    """Submit a value campaign over a dataset preset through ``registry.submit``."""
+
+    def build(run_dir):
+        data = get_preset(field).generate(seed=data_seed, size=size)
+        config = CampaignConfig(trials_per_bit=trials_per_bit, bits=bits, seed=seed)
+        dataset = {"kind": "preset", "field": field, "seed": data_seed, "size": size}
+        return CampaignRunner(data, target, config, label=field, run_dir=run_dir,
+                              dataset=dataset, trace=True if trace else None)
+
+    return registry.submit(build, name=target, field=field, project=project)
+
+
 def _submit(registry, **overrides):
     kwargs = dict(trials_per_bit=2, bits=(0, 1, 2), size=512, seed=7)
     kwargs.update(overrides)
-    return registry.submit_run("cesm/cloud", "posit16", **kwargs)
+    return submit_preset(registry, "cesm/cloud", "posit16", **kwargs)
 
 
 class TestSubmitRun:
@@ -39,18 +55,42 @@ class TestSubmitRun:
 
     def test_sequence_increments_across_targets(self, registry):
         assert _submit(registry).run_id == "posit16-0001"
-        second = registry.submit_run("cesm/cloud", "ieee32",
-                                     trials_per_bit=2, bits=(0,), size=512)
+        second = submit_preset(registry, "cesm/cloud", "ieee32",
+                               trials_per_bit=2, bits=(0,), size=512)
         assert second.run_id == "ieee32-0002"
 
     def test_unknown_field_surfaces(self, registry):
         with pytest.raises(KeyError):
-            registry.submit_run("no/such-field", "posit16", trials_per_bit=2)
+            submit_preset(registry, "no/such-field", "posit16", trials_per_bit=2)
 
     def test_slugs_keep_paths_safe(self, registry):
         entry = _submit(registry, project="team/alpha beta")
         assert "/" not in entry.run_id
         assert "team-alpha-beta" in entry.run_dir
+
+    def test_app_runner_keeps_app_run_ids(self, registry):
+        from repro.apps.campaign import AppCampaignConfig, AppCampaignRunner
+
+        config = AppCampaignConfig(app="cg", grid=6, iterations=(2,),
+                                   trials_per_cell=1, bits=(0,))
+        entry = registry.submit(
+            lambda run_dir: AppCampaignRunner(config, "posit16", run_dir=run_dir),
+            name="cg-posit16", field="app/cg",
+        )
+        assert (entry.run_id, entry.field, entry.label) == ("cg-posit16-0001", "app/cg", "cg")
+        assert RunManifest.load(entry.run_dir).app["name"] == "cg"
+
+    def test_runner_without_dataset_source_refused(self, registry):
+        import numpy as np
+
+        def build(run_dir):
+            return CampaignRunner(np.linspace(1.0, 2.0, 64), "posit16",
+                                  CampaignConfig(trials_per_bit=1), run_dir=run_dir)
+
+        with pytest.raises(ServiceError, match="regenerable dataset"):
+            registry.submit(build, name="posit16", field="inline")
+        assert registry.list_runs() == []
+        assert not (registry.runs_dir / "default" / "posit16-0001").exists()
 
 
 class TestListAndGet:

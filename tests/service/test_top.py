@@ -8,14 +8,15 @@ import pytest
 from repro.runner import RunManifest, request_cancel, run_worker
 from repro.runner.leases import write_done_record
 from repro.service import RunRegistry, campaign_top, fleet_snapshot, render_top
+from tests.service.test_registry import submit_preset
 
 
 @pytest.fixture
 def submitted(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_HOME", str(tmp_path / "home"))
-    return RunRegistry().submit_run(
-        "cesm/cloud", "posit16", trials_per_bit=2, bits=(0, 1, 2, 3, 4, 5),
-        size=512, trace=True,
+    return submit_preset(
+        RunRegistry(), "cesm/cloud", "posit16", trials_per_bit=2,
+        bits=(0, 1, 2, 3, 4, 5), size=512, trace=True,
     )
 
 

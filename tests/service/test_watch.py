@@ -17,13 +17,14 @@ from repro.service import (
     throughput_from_events,
     watch_run,
 )
+from tests.service.test_registry import submit_preset
 
 
 @pytest.fixture
 def submitted(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_HOME", str(tmp_path / "home"))
-    entry = RunRegistry().submit_run(
-        "cesm/cloud", "posit16", trials_per_bit=2, bits=(0, 1, 2), size=512
+    entry = submit_preset(
+        RunRegistry(), "cesm/cloud", "posit16", trials_per_bit=2, bits=(0, 1, 2), size=512
     )
     return entry
 
