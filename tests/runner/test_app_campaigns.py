@@ -200,6 +200,7 @@ class TestGoldenOutcomes:
 class TestGoldenShardBytes:
     """App shard files are pinned byte for byte, like value shards."""
 
+    @pytest.mark.golden
     def test_shard_csvs_match_golden_checksums(self, tmp_path):
         run_dir = tmp_path / "run"
         run_app_campaign(_config(fault="single"), "posit16", run_dir=run_dir)

@@ -28,6 +28,15 @@ GOLDEN_SHARDS = {
     15: "ee77db95ff7f3ddb925097bf189997665dd445ebae9229ef7ee618c550145797",
 }
 
+# sha256 of each shard CSV of the same campaign under fault="burst(4,0.5)".
+# Its fault_spec cells hold a comma, so csv quoting is pinned byte for byte.
+GOLDEN_BURST_SHARDS = {
+    0: "e98b9c353ead86d10f7262acbbcadfd747cc0f65df9ea998e1f0ee4da50c9737",
+    3: "dc2290a46207c67dd92d0963eb2801e26fa7471f1deb2d4f685672933dc905f0",
+    14: "b516143bec423e53d4577136138d87bf7865eb87e7b99ad2dc2b52bbfd59d7ca",
+    15: "3030ff360daefcf902c52a93e8b6ef55d7edbf08341a2508c2d568c99f384975",
+}
+
 
 def _golden_run(tmp_path, **overrides):
     data = np.random.default_rng(42).normal(0, 10, 64)
@@ -42,10 +51,19 @@ def _golden_run(tmp_path, **overrides):
 class TestDefaultRunsStayByteIdentical:
     """Satellite: `single` campaigns must match pre-PR run dirs exactly."""
 
+    @pytest.mark.golden
     def test_shard_csvs_match_golden_checksums(self, tmp_path):
         _, run_dir = _golden_run(tmp_path)
         for bit, expected in GOLDEN_SHARDS.items():
             payload = RunManifest.shard_path(run_dir, bit).read_bytes()
+            assert hashlib.sha256(payload).hexdigest() == expected, f"bit {bit}"
+
+    @pytest.mark.golden
+    def test_quoted_fault_spec_shards_match_golden_checksums(self, tmp_path):
+        _, run_dir = _golden_run(tmp_path, fault="burst(4,0.5)")
+        for bit, expected in GOLDEN_BURST_SHARDS.items():
+            payload = RunManifest.shard_path(run_dir, bit).read_bytes()
+            assert b'"burst(4,0.5)"' in payload
             assert hashlib.sha256(payload).hexdigest() == expected, f"bit {bit}"
 
     def test_manifest_config_has_no_fault_key(self, tmp_path):
