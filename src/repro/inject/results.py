@@ -14,7 +14,6 @@ domain filters, so the format lives in this module alone.
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 from dataclasses import dataclass, fields as dataclass_fields
@@ -35,13 +34,8 @@ INT, FLOAT, BOOL, STR, OPTIONAL = "int", "float", "bool", "str", "optional"
 
 _DTYPES = {INT: np.int64, FLOAT: np.float64, BOOL: bool, STR: "<U16", OPTIONAL: "<U32"}
 
-_PARSERS = {
-    INT: lambda raw: np.array([int(v) for v in raw], dtype=np.int64),
-    FLOAT: lambda raw: np.array([float(v) for v in raw], dtype=np.float64),
-    BOOL: lambda raw: np.array([bool(int(v)) for v in raw], dtype=bool),
-    STR: lambda raw: np.array(raw, dtype=_DTYPES[STR]),
-    OPTIONAL: lambda raw: np.array(raw, dtype=_DTYPES[OPTIONAL]),
-}
+#: Parse dtypes: a BOOL cell is read as an integer, then tested non-zero.
+_LOAD_DTYPES = {**_DTYPES, BOOL: np.int64}
 
 #: What an absent optional column means when merging with one present.
 _OPTIONAL_DEFAULTS = {"fault_spec": "single"}
@@ -123,62 +117,87 @@ class ColumnarRecords:
     def write_csv(self, path: str | os.PathLike) -> None:
         """Write the paper-style CSV log."""
         with open(Path(path), "w", newline="") as handle:
-            self._write_csv_handle(handle)
+            handle.write(self.to_csv_string())
 
     def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv_handle(buffer)
-        return buffer.getvalue()
+        """The shard file's text, formatted column by column.
 
-    def _write_csv_handle(self, handle) -> None:
-        writer = csv.writer(handle, lineterminator=self.LINE_TERMINATOR)
-        writer.writerow([f"# schema_version={CSV_SCHEMA_VERSION}"])
+        The bytes are those of ``csv.writer`` with ``QUOTE_MINIMAL``:
+        floats as ``repr``, ints as ``str``, bools as ``1``/``0``, and a
+        string quoted (``"`` doubled) only when it holds the delimiter,
+        the quote character, or a character of the line terminator.
+        """
         names = self.column_names()
-        writer.writerow(names)
-        columns = [getattr(self, name) for name in names]
-        for row in zip(*columns):
-            writer.writerow(
-                [
-                    repr(float(v))
-                    if isinstance(v, (float, np.floating))
-                    else (str(v) if isinstance(v, (str, np.str_)) else int(v))
-                    for v in row
-                ]
-            )
+        specials = ',"' + self.LINE_TERMINATOR
+        cells = [
+            _format_column(self.COLUMNS[name], getattr(self, name), specials)
+            for name in names
+        ]
+        lines = [f"# schema_version={CSV_SCHEMA_VERSION}", ",".join(names)]
+        lines.extend(map(",".join, zip(*cells)))
+        return self.LINE_TERMINATOR.join(lines) + self.LINE_TERMINATOR
 
     @classmethod
     def read_csv(cls, path: str | os.PathLike):
         """Read a log written by :meth:`write_csv`."""
         with open(Path(path), newline="") as handle:
-            return cls._read_csv_handle(handle)
+            return cls.from_csv_string(handle.read())
 
     @classmethod
     def from_csv_string(cls, text: str):
-        return cls._read_csv_handle(io.StringIO(text))
-
-    @classmethod
-    def _read_csv_handle(cls, handle):
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
+        """Parse shard text: an optional schema line, the header, then the
+        body in one ``np.loadtxt`` pass.  LF or CRLF framing is accepted;
+        a malformed cell, a row whose field count differs from the
+        header, or a quoted cell left open (a file cut inside it) raises
+        :class:`ValueError`.
+        """
+        if not text:
             raise ValueError("empty CSV")
-        if first and first[0].startswith("# schema_version="):
-            header = next(reader, None)
-        else:
-            header = first
-        if header is None:
+        line, _, body = text.partition("\n")
+        if line.startswith("# schema_version="):
+            line, _, body = body.partition("\n")
+        if not line:
             raise ValueError("CSV missing header row")
+        header = line.removesuffix("\r").split(",")
         names = [column.name for column in dataclass_fields(cls)]
         required = [name for name in names if cls.COLUMNS[name] != OPTIONAL]
         optional = [name for name in names if cls.COLUMNS[name] == OPTIONAL]
         variants = [required + optional[:count] for count in range(len(optional) + 1)]
         if header not in variants:
             raise ValueError(f"CSV columns {header} do not match schema {required}")
-        rows = list(reader)
-        kwargs = {name: None for name in optional}
-        for position, name in enumerate(header):
-            kwargs[name] = _PARSERS[cls.COLUMNS[name]]([row[position] for row in rows])
+        dtype = np.dtype([(name, _LOAD_DTYPES[cls.COLUMNS[name]]) for name in header])
+        if body.count('"') % 2:
+            raise ValueError("CSV ends inside a quoted cell")
+        if body.strip("\r\n"):
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                comments=None, ndmin=1,
+            )
+        else:
+            table = np.empty(0, dtype=dtype)
+        kwargs = dict.fromkeys(optional)
+        for name in header:
+            column = table[name]
+            kwargs[name] = column != 0 if cls.COLUMNS[name] == BOOL else column.copy()
         return cls(**kwargs)
+
+
+def _format_column(kind: str, array, specials: str):
+    """One column's cells as ``csv.writer`` writes them."""
+    if kind == BOOL:
+        array = np.asarray(array, dtype=np.int64)
+    values = np.asarray(array).tolist()
+    if kind == FLOAT:
+        return map(repr, values)
+    if kind in (INT, BOOL):
+        return map(str, values)
+    return [_quote(value, specials) for value in values]
+
+
+def _quote(cell: str, specials: str) -> str:
+    if any(char in cell for char in specials):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 @dataclass

@@ -5,9 +5,11 @@ records bit-identical to an uninterrupted run — for the serial and the
 pool backend, in any combination across the interrupt boundary.
 """
 
+import numpy as np
 import pytest
 
 from repro.inject.campaign import CampaignConfig, run_campaign
+from repro.inject.results import TrialRecords
 from repro.runner import (
     RunnerHooks,
     read_event_log,
@@ -15,6 +17,7 @@ from repro.runner import (
     run_status,
 )
 from repro.runner.manifest import RUN_INTERRUPTED, RunManifest
+from repro.runner.verify import ShardProblem, load_trusted_shard
 
 from tests.runner.test_runner import assert_records_identical
 
@@ -131,6 +134,28 @@ class TestShardIntegrity:
 
         resumed = resume_campaign(run_dir, small_field)
         assert_records_identical(uninterrupted.records, resumed.records)
+
+    @pytest.mark.parametrize("damage", ["truncated", "extra-field"])
+    def test_ragged_shard_without_checksum_is_a_content_problem(self, tmp_path, damage):
+        # Work-stealing adoption may find no recorded checksum; a shard cut
+        # mid-row, or one with a stray field, must still be rejected.
+        data = np.random.default_rng(3).normal(0, 10, 64)
+        run_dir = tmp_path / "run"
+        run_campaign(data, "posit16", CampaignConfig(trials_per_bit=5, bits=(3,), seed=1),
+                     run_dir=run_dir)
+        path = RunManifest.shard_path(run_dir, 3)
+        payload = path.read_bytes()
+        assert payload.endswith(b"\r\n")
+        if damage == "truncated":
+            payload = payload[:-40]
+        else:
+            payload = payload[:-2] + b",0\r\n"
+        path.write_bytes(payload)
+
+        problem = load_trusted_shard(path, TrialRecords, checksum=None, trials=5)
+        assert isinstance(problem, ShardProblem)
+        assert problem.kind == "content"
+        assert "does not parse" in problem.message
 
     def test_missing_shard_file_is_recomputed(
         self, small_field, config, uninterrupted, tmp_path
