@@ -13,7 +13,7 @@ import pytest
 from repro.datasets.registry import get as get_preset
 from repro.inject.campaign import CampaignConfig, run_campaign
 from repro.formats import resolve
-from repro.inject.trial import run_bit_trials, run_single_trial
+from repro.inject.trial import field_pipeline, run_bit_trials, run_single_trial
 from repro.metrics.summary import SummaryStats
 from repro.posit.arithmetic import multiply
 from repro.posit.config import POSIT16
@@ -45,11 +45,12 @@ def test_ablation_parallel_workers(benchmark, workers):
 
 def test_ablation_vectorized_trials(benchmark):
     target = resolve("posit32")
-    stored = target.round_trip(DATA)
-    baseline = SummaryStats.from_array(stored)
-    indices = np.random.default_rng(0).integers(0, stored.size, 313)
+    # Built once, outside the timed call, as a campaign runner builds it.
+    pipeline = field_pipeline(target, DATA)
+    baseline = SummaryStats.from_array(pipeline.stored)
+    indices = np.random.default_rng(0).integers(0, pipeline.size, 313)
 
-    records = benchmark(run_bit_trials, stored, indices, 28, target, baseline)
+    records = benchmark(run_bit_trials, pipeline, indices, 28, target, baseline)
     assert len(records) == 313
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.datasets.registry import get as get_preset
 from repro.inject.campaign import CampaignConfig, run_campaign
 from repro.formats import resolve
-from repro.inject.trial import run_bit_trials
+from repro.inject.trial import field_pipeline, run_bit_trials
 from repro.metrics.summary import SummaryStats
 from repro.posit.config import POSIT32
 from repro.posit.decode import decode
@@ -57,12 +57,13 @@ def test_ieee_flip_throughput(benchmark, values):
 
 def test_bit_trial_batch(benchmark, values):
     target = resolve("posit32")
-    stored = target.round_trip(values)
-    baseline = SummaryStats.from_array(stored)
-    indices = np.random.default_rng(0).integers(0, stored.size, 313)
+    # Built once, outside the timed call, as a campaign runner builds it.
+    pipeline = field_pipeline(target, values)
+    baseline = SummaryStats.from_array(pipeline.stored)
+    indices = np.random.default_rng(0).integers(0, pipeline.size, 313)
 
     records = benchmark(
-        run_bit_trials, stored, indices, 28, target, baseline
+        run_bit_trials, pipeline, indices, 28, target, baseline
     )
     assert len(records) == 313
 

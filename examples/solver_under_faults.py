@@ -21,6 +21,7 @@ import numpy as np
 from repro.apps import (
     AppCampaignConfig,
     PoissonProblem,
+    clean_solve,
     jacobi_solve,
     run_app_campaign,
     run_app_trial,
@@ -101,7 +102,8 @@ def cg_silent_corruption(problem: PoissonProblem) -> None:
     )
     flip_bit_30 = FaultMasks(xor=1 << 30, set=0, clear=0)
     for target in ("ieee32", "posit32"):
-        outcome = run_app_trial(config, target, 3, source, flip_bit_30)
+        clean = clean_solve(config, target)
+        outcome = run_app_trial(config, target, 3, source, flip_bit_30, clean)
         print(
             f"  {target}: flip bit 30 of x at iter 3 -> still 'converged' "
             f"in {outcome.faulty_iterations} iters (overhead "

@@ -16,6 +16,7 @@ from repro.apps.campaign import (
     cell_seeds,
     classify_outcome,
     classify_outcomes,
+    clean_solve,
     mask_injector,
     run_app_campaign,
     run_app_shard,
@@ -38,6 +39,7 @@ __all__ = [
     "cg_solve",
     "classify_outcome",
     "classify_outcomes",
+    "clean_solve",
     "poisson_matvec",
     "dot_error_comparison",
     "fused_posit_dot",

@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.apps.krylov import cg_solve
-from repro.apps.stencil import PoissonProblem, jacobi_solve
+from repro.apps.krylov import CGResult, cg_solve
+from repro.apps.stencil import PoissonProblem, SolveResult, jacobi_solve
 from repro.formats import NumberFormat, resolve
 from repro.inject.campaign import CampaignConfig
 from repro.inject.faults import FaultMasks, apply_masks
@@ -65,6 +65,7 @@ __all__ = [
     "cell_seeds",
     "classify_outcome",
     "classify_outcomes",
+    "clean_solve",
     "mask_injector",
     "run_app_shard",
     "run_app_trial",
@@ -386,27 +387,15 @@ def _solve(config: AppCampaignConfig, target: NumberFormat, fault_hook=None):
     )
 
 
-# The fault-free reference solve is identical for every cell of a
-# campaign, so memoize it per process (keyed on everything that shapes
-# the solve).  Bounded: a sweep touches a handful of (app, format)
-# pairs at most.
-_CLEAN_CACHE: dict[tuple, object] = {}
-_CLEAN_CACHE_LIMIT = 16
+def clean_solve(
+    config: AppCampaignConfig, target: NumberFormat | str
+) -> CGResult | SolveResult:
+    """The fault-free solve of ``config`` in ``target``: every trial's reference.
 
-
-def _clean_solve(config: AppCampaignConfig, target: NumberFormat):
-    key = (
-        config.app,
-        config.grid,
-        target.name,
-        config.max_iterations,
-        config.tolerance,
-    )
-    if key not in _CLEAN_CACHE:
-        if len(_CLEAN_CACHE) >= _CLEAN_CACHE_LIMIT:
-            _CLEAN_CACHE.clear()
-        _CLEAN_CACHE[key] = _solve(config, target, fault_hook=None)
-    return _CLEAN_CACHE[key]
+    Solves on every call.  A campaign runner solves once per run and
+    hands the result to every cell through its :class:`AppShardJob`.
+    """
+    return _solve(config, resolve(target))
 
 
 def mask_injector(
@@ -457,15 +446,16 @@ def run_app_trial(
     iteration: int,
     flat_index: int,
     masks: FaultMasks,
+    clean: CGResult | SolveResult,
 ) -> AppTrial:
     """Solve once with :func:`mask_injector` at (iteration, flat_index, masks).
 
-    The result is compared against the memoized fault-free solve of
-    ``config``.  ``iteration`` need not be in ``config.iterations``: the
-    config supplies the app, grid, and solver budget.
+    The result is compared against ``clean``, the fault-free solve of
+    ``config`` in ``target`` (:func:`clean_solve`).  ``iteration`` need
+    not be in ``config.iterations``: the config supplies the app, grid,
+    and solver budget.
     """
     target = resolve(target)
-    clean = _clean_solve(config, target)
     faulty = _solve(
         config, target, fault_hook=mask_injector(iteration, flat_index, masks, target)
     )
@@ -484,12 +474,15 @@ def run_app_shard(
     cell: int,
     trials: int,
     seed: np.random.SeedSequence | int,
+    clean: CGResult | SolveResult,
 ) -> AppTrialRecords:
     """Run every trial of one (injection-iteration, bit) cell.
 
-    RNG discipline matches ``run_campaign_shard``: one generator per
-    shard, element indices drawn first, then per-trial fault masks —
-    all before any solve, so replay never depends on solver state.
+    Each trial is compared against ``clean``, the fault-free solve of
+    ``config`` in ``target`` (:func:`clean_solve`).  RNG discipline
+    matches ``run_campaign_shard``: one generator per shard, element
+    indices drawn first, then per-trial fault masks — all before any
+    solve, so replay never depends on solver state.
     """
     target = resolve(target)
     iteration, bit = config.cell_location(cell, target.nbits)
@@ -501,7 +494,7 @@ def run_app_shard(
     trial_masks = [model.masks((), target.nbits, rng) for _ in range(trials)]
 
     results = [
-        run_app_trial(config, target, iteration, int(indices[trial]), trial_masks[trial])
+        run_app_trial(config, target, iteration, int(indices[trial]), trial_masks[trial], clean)
         for trial in range(trials)
     ]
     converged = np.array([r.converged for r in results], dtype=bool)
@@ -540,15 +533,20 @@ def run_app_shard(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AppShardJob:
-    """What one app-campaign cell computes, in any process."""
+    """What one app-campaign cell computes, in any process.
+
+    Carries the run's fault-free solve, which the runner solves once;
+    forked workers inherit it with the job.
+    """
 
     config: AppCampaignConfig
     target: NumberFormat
+    clean: CGResult | SolveResult
 
     def compute(self, cell: int, trials: int, seed) -> AppTrialRecords:
-        return run_app_shard(self.config, self.target, cell, trials, seed)
+        return run_app_shard(self.config, self.target, cell, trials, seed, self.clean)
 
 
 class AppCampaignRunner(CampaignRunner):
@@ -590,7 +588,7 @@ class AppCampaignRunner(CampaignRunner):
         return manifest
 
     def _build_job(self) -> AppShardJob:
-        return AppShardJob(self.app_config, self.target)
+        return AppShardJob(self.app_config, self.target, clean_solve(self.app_config, self.target))
 
     @classmethod
     def from_run_dir(cls, run_dir, data=None, **kwargs) -> "AppCampaignRunner":

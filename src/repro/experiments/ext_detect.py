@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.campaign import AppCampaignConfig, classify_outcome, run_app_trial
+from repro.apps.campaign import AppCampaignConfig, classify_outcome, clean_solve, run_app_trial
 from repro.apps.stencil import PoissonProblem
 from repro.detect.temporal import detection_sweep
 from repro.experiments.base import ExperimentOutput, ExperimentParams, register_experiment
@@ -69,12 +69,13 @@ def run(params: ExperimentParams) -> ExperimentOutput:
         # and the labels say how the application experienced the miss.
         worst_undetected = 0.0
         labels: dict[str, int] = {}
+        clean = clean_solve(solver, target)
         for outcome in outcomes:
             if outcome.detected:
                 continue
             result = run_app_trial(
                 solver, target, INJECT_AT, center,
-                FaultMasks(xor=1 << outcome.bit, set=0, clear=0),
+                FaultMasks(xor=1 << outcome.bit, set=0, clear=0), clean,
             )
             label = classify_outcome(
                 result.converged,

@@ -11,8 +11,8 @@ registry lookup it wraps).  Resolution order:
    parameterized posit / IEEE / fixed-posit layout.
 
 Instances are cached per ``(canonical name, backend)``, which matters
-beyond speed: LUT tables and round-trip memos live on the instance, so
-repeated lookups of ``"posit16"`` share one set of tables.
+beyond speed: LUT tables live on the instance, so repeated lookups of
+``"posit16"`` share one set of tables.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def resolve(spec: str | NumberFormat, *, backend: str | None = None) -> NumberFo
     live in :func:`repro.formats.backends.resolve_backend_name`.
 
     Instances are cached per ``(canonical name, backend)``, so repeated
-    lookups share codec tables and memos.  Raises
+    lookups share codec tables.  Raises
     :class:`FormatSpecError` for anything unresolvable and
     :class:`ValueError` for an unknown or incompatible backend.
     """

@@ -266,9 +266,10 @@ def run_campaign_shard(
 ) -> TrialRecords:
     """All trials of one bit position (the unit of parallel work).
 
-    ``data`` is the campaign's field, raw or already stored; the field's
-    pipeline (:func:`repro.inject.trial.field_pipeline`) stores it, so
-    every shard sees identical stored values.  ``fault_spec`` names the
+    ``data`` is the field's :class:`~repro.inject.trial.FieldPipeline`
+    (the runner's shard job passes the one it built), or the field as
+    an array, raw or already stored, which gets a pipeline of its own
+    (:func:`repro.inject.trial.field_pipeline`).  ``fault_spec`` names the
     fault model (:mod:`repro.inject.faultspec`); the default ``single``
     takes exactly the historical path — same RNG stream, same records,
     no ``fault_spec`` CSV column.

@@ -34,8 +34,8 @@ _WORKER_STATE: dict = {}
 def _init_worker(job, telemetry_enabled: bool = False, chaos=None,
                  heartbeat=None) -> None:
     # The job (repro.runner.runner.ShardJob or an app job) is what every
-    # shard computes; the fork shares it, and the dataset it references,
-    # copy-on-write.
+    # shard computes; the fork shares it, and the field store or clean
+    # solve it carries, copy-on-write.
     _WORKER_STATE["job"] = job
     _WORKER_STATE["telemetry"] = bool(telemetry_enabled)
     # Chaos fault plan (repro.chaos.FaultPlan) and the heartbeat queue:

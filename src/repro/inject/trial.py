@@ -6,10 +6,10 @@ once into the stored (representable) values the baseline and the
 conversion report read, and serves every bit's trials as gathers from
 that store — flip/decode via ``decode_flips`` or ``decode_masked``,
 field classification, metrics, and the O(1) faulty-summary fold as
-elementwise expressions.  ``field_pipeline`` memoizes pipelines per
-(target, dataset fingerprint), so the per-bit shard entry point
-``run_bit_trials`` finds the pipeline the campaign runner built, and
-fork-pool workers inherit it from the parent.
+elementwise expressions.  The campaign runner builds the pipeline once
+and its shard job carries it, so every shard — and every forked worker,
+which inherits the job — reads that one store; ``field_pipeline`` passes
+a pipeline through and builds one from a raw array.
 
 ``run_single_trial`` is the one-at-a-time form mirroring the paper's
 flowchart literally; the tests assert both produce identical records.
@@ -17,8 +17,6 @@ flowchart literally; the tests assert both produce identical records.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +28,6 @@ from repro.metrics.fast import FaultMetrics, vectorized_single_fault
 from repro.metrics.pointwise import scalar_relative_error
 from repro.metrics.summary import SummaryStats
 from repro.telemetry import get_telemetry
-
-#: Pipelines kept alive across shards.  The paper's campaign runs 16
-#: dataset fields against two targets, and every (target, field) pair
-#: keeps its own pipeline — size the memo so a full sweep never thrashes.
-_PIPELINE_CACHE_SIZE = 32
-
-_PIPELINE_CACHE: OrderedDict = OrderedDict()
-
 
 @dataclass(frozen=True)
 class SingleTrialResult:
@@ -137,6 +127,11 @@ class FieldPipeline:
         self.bits = self.target.to_bits(self.data)
         self.stored = self.batch.from_bits(self.bits)
 
+    @property
+    def size(self) -> int:
+        """Elements in the field, as ``data.size`` of the array it stores."""
+        return self.data.size
+
     def run_bit(
         self,
         indices: np.ndarray,
@@ -174,23 +169,18 @@ class FieldPipeline:
 
 
 def field_pipeline(target: NumberFormat, data) -> FieldPipeline:
-    """Memoized :class:`FieldPipeline` per (target, dataset fingerprint)."""
-    array = np.ascontiguousarray(np.asarray(data).reshape(-1))
-    key = (
-        target.name,
-        array.dtype.str,
-        array.shape,
-        hashlib.blake2b(array.tobytes(), digest_size=16).digest(),
-    )
-    pipeline = _PIPELINE_CACHE.get(key)
-    if pipeline is None:
-        pipeline = FieldPipeline(target, array)
-        _PIPELINE_CACHE[key] = pipeline
-        while len(_PIPELINE_CACHE) > _PIPELINE_CACHE_SIZE:
-            _PIPELINE_CACHE.popitem(last=False)
-    else:
-        _PIPELINE_CACHE.move_to_end(key)
-    return pipeline
+    """The :class:`FieldPipeline` of ``data`` in ``target``.
+
+    ``data`` is returned as is when it already is ``target``'s pipeline;
+    a raw or stored array gets a new pipeline (one encode).
+    """
+    if isinstance(data, FieldPipeline):
+        if data.target.name != target.name:
+            raise ValueError(
+                f"pipeline stores its field in {data.target.name}, not {target.name}"
+            )
+        return data
+    return FieldPipeline(target, data)
 
 
 def run_bit_trials(
@@ -208,8 +198,8 @@ def run_bit_trials(
     Parameters
     ----------
     data:
-        The full dataset (float array), raw or already stored; the
-        field's pipeline stores it.
+        The field's :class:`FieldPipeline`, or the full dataset (float
+        array, raw or already stored), which gets a pipeline of its own.
     indices:
         Element index chosen for each trial.
     bit_index:

@@ -408,8 +408,8 @@ def _work_stealing_child(run_dir, job, seeds, max_retries, lease_timeout,
                          trace_enabled=False) -> None:
     """Entry point of a forked in-run work-stealing worker.
 
-    The job (and the dataset it references) arrives by fork
-    copy-on-write, never pickled, together with the run's seeds and
+    The job (and the field store or clean solve it carries) arrives
+    by fork copy-on-write, never pickled, together with the run's seeds and
     attempt budget.  SIGTERM and the inherited telemetry collector are
     reset exactly like :func:`repro.inject.parallel._init_worker` — the
     fork copied the parent's checkpointing SIGTERM handler and active

@@ -35,11 +35,12 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from repro.formats import NumberFormat, resolve
+from repro.formats import resolve
 from repro.inject.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -48,7 +49,7 @@ from repro.inject.campaign import (
     run_campaign_shard,
 )
 from repro.inject.results import TrialRecords
-from repro.inject.trial import field_pipeline
+from repro.inject.trial import FieldPipeline, field_pipeline
 from repro.metrics.summary import SummaryStats
 from repro.runner.errors import ManifestError, RunnerError, SignalInterrupt
 from repro.runner.events import (
@@ -123,19 +124,19 @@ class ShardSpec:
 class ShardJob:
     """What one shard of a value campaign computes, in any process.
 
-    Holds references to the runner's field (as given, not stored) and
-    baseline, never copies: forked workers share them copy-on-write, and
-    each shard finds the runner's pipeline by looking the field up.
+    Holds the runner's :class:`~repro.inject.trial.FieldPipeline` (the
+    field's one store) and baseline, never copies: forked workers
+    inherit them with the job and share them copy-on-write, and a lease
+    worker builds them once, in :meth:`CampaignRunner.from_run_dir`.
     """
 
-    target: NumberFormat
-    data: np.ndarray
+    pipeline: FieldPipeline
     baseline: SummaryStats
     fault: str
 
     def compute(self, bit: int, trials: int, seed) -> TrialRecords:
         return run_campaign_shard(
-            self.data, self.target, bit, trials, seed, self.baseline,
+            self.pipeline, self.pipeline.target, bit, trials, seed, self.baseline,
             fault_spec=self.fault,
         )
 
@@ -338,10 +339,10 @@ class CampaignRunner:
             raise ValueError("cannot run a campaign on an empty dataset")
         with telemetry_scope(self.telemetry):
             # The one store of the field: the baseline, every shard (and
-            # every fork-pool worker), and the conversion report read it.
-            self.stored = field_pipeline(self.target, self._flat).stored
-            self.baseline = SummaryStats.from_array(self.stored)
-        self.job = self._build_job()
+            # every forked worker, through the job), and the conversion
+            # report read it.
+            self.pipeline = field_pipeline(self.target, self._flat)
+            self.baseline = SummaryStats.from_array(self.pipeline.stored)
 
         if hooks is None:
             hooks = []
@@ -368,9 +369,13 @@ class CampaignRunner:
 
     # -- planning -----------------------------------------------------------
 
+    @cached_property
+    def job(self):
+        """The run's shard job, built when shards first run (submit builds none)."""
+        return self._build_job()
+
     def _build_job(self):
-        """The shard job every process of this run computes through."""
-        return ShardJob(self.target, self._flat, self.baseline, self.config.fault)
+        return ShardJob(self.pipeline, self.baseline, self.config.fault)
 
     def plan(self) -> list[ShardSpec]:
         """The per-bit shard plan, in ascending bit order."""
@@ -515,7 +520,7 @@ class CampaignRunner:
                     config=self.config,
                     baseline=self.baseline,
                     records=records,
-                    conversion=conversion_report(self._flat, self.stored),
+                    conversion=conversion_report(self._flat, self.pipeline.stored),
                     data_size=int(self._flat.size),
                     label=self.label,
                     extras={

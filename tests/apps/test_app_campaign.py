@@ -18,15 +18,17 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.campaign import (
     OUTCOMES,
     AppCampaignConfig,
+    AppCampaignRunner,
     AppTrialRecords,
     cell_seeds,
     classify_outcome,
     classify_outcomes,
+    clean_solve,
     run_app_campaign,
     run_app_shard,
     run_app_trial,
 )
-from repro.apps.campaign import _clean_solve
+from repro.apps import campaign as app_campaign
 from repro.formats import resolve
 from repro.inject.faults import FaultMasks
 
@@ -158,9 +160,9 @@ class TestZeroMaskIsNoFault:
     def test_zero_mask_at_final_iteration_matches_clean(self, app):
         config = AppCampaignConfig(app=app, grid=8, iterations=(4,))
         target = resolve("posit16")
-        clean = _clean_solve(config, target)
+        clean = clean_solve(config, target)
         zero = FaultMasks(xor=0, set=0, clear=0)
-        faulty = run_app_trial(config, target, 4, 10, zero)
+        faulty = run_app_trial(config, target, 4, 10, zero, clean)
         assert faulty.faulty_iterations == clean.iterations
         assert faulty.converged == clean.converged
         assert faulty.diverged == clean.diverged
@@ -194,6 +196,30 @@ class TestCampaign:
         b = run_app_campaign(config, "posit16")
         assert a.records.to_csv_string() == b.records.to_csv_string()
 
+    def test_each_run_solves_its_reference_once(self, monkeypatch, tmp_path):
+        # Every cell compares against the runner's one clean solve; a
+        # second run of the same campaign solves its own, not a memo's.
+        # Submitting computes no cell, so it solves nothing.
+        solve = app_campaign._solve
+        clean_solves = []
+
+        def counting(config, target, fault_hook=None):
+            if fault_hook is None:
+                clean_solves.append(target.name)
+            return solve(config, target, fault_hook)
+
+        monkeypatch.setattr(app_campaign, "_solve", counting)
+        config = AppCampaignConfig(
+            app="cg", grid=6, iterations=(2, 4), trials_per_cell=2, bits=(0, 9, 14),
+            seed=5,
+        )
+        AppCampaignRunner(config, "posit16", run_dir=tmp_path / "submitted").submit()
+        assert clean_solves == []
+        for run in (1, 2):
+            result = run_app_campaign(config, "posit16")
+            assert result.trial_count == 12
+            assert clean_solves == ["posit16"] * run
+
 
 class TestShardRecords:
     def test_csv_round_trip_exact(self):
@@ -205,7 +231,7 @@ class TestShardRecords:
         cell = config.cells(target)[5]
         records = run_app_shard(
             config, target, cell, config.trials_per_cell,
-            cell_seeds(config, target)[cell],
+            cell_seeds(config, target)[cell], clean_solve(config, target),
         )
         clone = AppTrialRecords.from_csv_string(records.to_csv_string())
         assert clone.to_csv_string() == records.to_csv_string()
@@ -219,7 +245,8 @@ class TestShardRecords:
         target = resolve("posit16")
         cell = config.cells(target)[0]
         records = run_app_shard(
-            config, target, cell, 1, cell_seeds(config, target)[cell]
+            config, target, cell, 1, cell_seeds(config, target)[cell],
+            clean_solve(config, target),
         )
         assert records.fault_spec is None
         assert "fault_spec" not in records.to_csv_string().splitlines()[1]
@@ -237,7 +264,7 @@ class TestCrossProcessReplay:
         cell = config.cells(target)[7]
         records = run_app_shard(
             config, target, cell, config.trials_per_cell,
-            cell_seeds(config, target)[cell],
+            cell_seeds(config, target)[cell], clean_solve(config, target),
         )
         here = tmp_path / "in_process.csv"
         records.write_csv(here)
@@ -245,7 +272,7 @@ class TestCrossProcessReplay:
         there = tmp_path / "fresh_process.csv"
         script = textwrap.dedent(f"""
             from repro.apps.campaign import (
-                AppCampaignConfig, cell_seeds, run_app_shard,
+                AppCampaignConfig, cell_seeds, clean_solve, run_app_shard,
             )
             from repro.formats import resolve
 
@@ -256,6 +283,7 @@ class TestCrossProcessReplay:
             target = resolve("posit16")
             records = run_app_shard(
                 config, target, {cell}, 2, cell_seeds(config, target)[{cell}],
+                clean_solve(config, target),
             )
             records.write_csv({str(there)!r})
         """)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.apps.campaign import AppCampaignConfig, run_app_trial
+from repro.apps.campaign import AppCampaignConfig, clean_solve, run_app_trial
 from repro.inject.faults import FaultMasks
 
 GRID = 8
@@ -14,7 +14,8 @@ def flip_trial(target, iteration, flat_index, bit, **solver):
         app="jacobi", grid=GRID, iterations=(iteration,), **solver
     )
     masks = FaultMasks(xor=1 << bit, set=0, clear=0)
-    return run_app_trial(config, target, iteration, flat_index, masks)
+    clean = clean_solve(config, target)
+    return run_app_trial(config, target, iteration, flat_index, masks, clean)
 
 
 class TestSingleFault:

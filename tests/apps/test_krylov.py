@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.campaign import AppCampaignConfig, run_app_trial
+from repro.apps.campaign import AppCampaignConfig, clean_solve, run_app_trial
 from repro.apps.krylov import cg_solve, poisson_matvec
 from repro.apps.stencil import PoissonProblem
 from repro.inject.faults import FaultMasks
@@ -17,7 +17,8 @@ def flip_trial(app, target, iteration, flat_index, bit, **solver):
         app=app, grid=PROBLEM.grid, iterations=(iteration,), **solver
     )
     masks = FaultMasks(xor=1 << bit, set=0, clear=0)
-    return run_app_trial(config, target, iteration, flat_index, masks)
+    clean = clean_solve(config, target)
+    return run_app_trial(config, target, iteration, flat_index, masks, clean)
 
 
 class TestMatvec:

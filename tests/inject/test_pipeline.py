@@ -6,7 +6,8 @@ read that store.  Its stored values must equal ``round_trip`` of the
 raw field bit for bit, since the shard bytes depend on them.
 """
 
-from collections import OrderedDict
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.inject import (
     run_campaign,
     run_single_trial,
 )
-from repro.inject import trial
+from repro.runner import runner
 from repro.telemetry import Telemetry
 
 
@@ -31,12 +32,6 @@ def field(rng):
 
 
 class TestPipelineCache:
-    def test_same_content_shares_pipeline(self, field):
-        target = resolve("posit16")
-        first = field_pipeline(target, field)
-        second = field_pipeline(target, field.copy())
-        assert first is second
-
     def test_distinct_targets_do_not_collide(self, field):
         p16 = field_pipeline(resolve("posit16"), field)
         p32 = field_pipeline(resolve("posit32"), field)
@@ -62,15 +57,48 @@ class TestStoreOnce:
     """An in-memory campaign encodes its field once and decodes it once."""
 
     @pytest.mark.parametrize("name", ["posit32", "ieee32", "posit16"])
-    def test_campaign_stores_field_once(self, name, field, monkeypatch):
-        # A fresh pipeline memo, so no earlier test's pipeline is reused.
-        monkeypatch.setattr(trial, "_PIPELINE_CACHE", OrderedDict())
+    def test_campaign_stores_field_once(self, name, field):
         config = CampaignConfig(trials_per_bit=5, bits=(0, 3, 9, 15), seed=7)
         collector = Telemetry()
         result = run_campaign(field, name, config, telemetry=collector)
         counters = collector.snapshot().counters
         assert counters["formats.encode.values"] == field.size
         assert counters["formats.decode.values"] == field.size + result.trial_count
+
+
+class TestPipelineOwnership:
+    """The runner owns its field's pipeline; no process-wide memo keeps it."""
+
+    def test_pipeline_passes_through(self, field):
+        pipeline = FieldPipeline(resolve("posit16"), field)
+        assert field_pipeline(pipeline.target, pipeline) is pipeline
+        assert field_pipeline(resolve("posit16"), pipeline) is pipeline
+
+    def test_other_targets_pipeline_is_refused(self, field):
+        pipeline = FieldPipeline(resolve("posit16"), field)
+        with pytest.raises(ValueError, match="posit16, not posit32"):
+            field_pipeline(resolve("posit32"), pipeline)
+
+    def test_array_gets_a_new_pipeline(self, field):
+        target = resolve("posit16")
+        assert field_pipeline(target, field) is not field_pipeline(target, field)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pipeline_is_garbage_once_the_campaign_returns(self, field, jobs, monkeypatch):
+        built = []
+
+        def recording(target, data):
+            pipeline = field_pipeline(target, data)
+            built.append(weakref.ref(pipeline))
+            return pipeline
+
+        monkeypatch.setattr(runner, "field_pipeline", recording)
+        config = CampaignConfig(trials_per_bit=3, bits=(0, 5, 9), seed=7)
+        result = run_campaign(field, "posit16", config, jobs=jobs)
+        assert result.trial_count == 9
+        gc.collect()
+        assert len(built) == 1
+        assert built[0]() is None
 
 
 class TestScalarRelErrConvention:

@@ -67,8 +67,6 @@ class TestConcat:
         assert empty.trial.dtype == np.int64
 
     def test_mismatched_columns_rejected(self, records):
-        import dataclasses
-
         kwargs = {name: getattr(records, name) for name in records.column_names()}
         kwargs["bit"] = kwargs["bit"][:-1]
         with pytest.raises(ValueError):
@@ -87,8 +85,6 @@ class TestCsvRoundtrip:
 
     def test_preserves_nan_and_inf(self, tmp_path):
         records = TrialRecords.empty()
-        import dataclasses
-
         kwargs = {name: getattr(records, name) for name in records.column_names()}
         for name in kwargs:
             if kwargs[name].dtype.kind == "f":

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.runner import RunManifest, request_cancel, run_worker
+from repro.runner import request_cancel, run_worker
 from repro.runner.leases import write_done_record
 from repro.service import RunRegistry, campaign_top, fleet_snapshot, render_top
 from tests.service.test_registry import submit_preset

@@ -1,7 +1,5 @@
 """Unit tests for the run-dir time-series layer (sampler + aggregation)."""
 
-import json
-
 from repro.telemetry.timeseries import (
     METRICS_SCHEMA,
     MetricsSampler,
