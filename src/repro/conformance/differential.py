@@ -14,6 +14,10 @@ Three cross-checks, each a pure function from an
   gathers per 32-bit pattern) against the direct backend: exhaustive
   for widths the oracle can exhaust, stratified-sampled plus
   NaR/NaN/Inf/signed-zero corner patterns at 32 bits;
+* ``round-trip-agreement`` — posit ``round_trip``, which rounds in the
+  float domain, against the value each lattice point and same-block
+  midpoint must store as, derived from the patterns themselves, and
+  against the bit path ``from_bits(to_bits(x))`` everywhere else;
 * ``metrics-fast-vs-full`` — the campaign's O(1) single-fault metric
   shortcut against the full-array reference reduction, over seeded
   faults including NaN/Inf/zero corners.
@@ -35,8 +39,13 @@ from repro.formats import (
     COMPOSED_MAX_BITS,
     LUT_MAX_BITS,
     NumberFormat,
+    PositTarget,
     parse_spec,
 )
+
+#: Positive patterns per chunk of the exhaustive ``round-trip-agreement``
+#: walk at ``full`` (~100 MB of working arrays).
+ROUND_TRIP_CHUNK = 1 << 20
 
 
 def check_reference_decode(ctx, fmt: NumberFormat) -> CheckResult:
@@ -237,6 +246,112 @@ def check_composed_agreement(ctx, fmt: NumberFormat) -> CheckResult:
         result.skipped = True
         return result
     return _check_alternate_backend(ctx, fmt, "composed", "composed-agreement")
+
+
+def _lattice_cases(decoder: NumberFormat, patterns: np.ndarray):
+    """Round-trip cases from positive ``patterns`` (each ``p + 1 <= maxpos``).
+
+    Returns ``(inputs, expected, crossing)``: lattice points and
+    same-fraction-block upper midpoints, both signs, with the value each
+    must store as (``decode(p)``; for the midpoint of ``(p, p+1)`` the
+    decode of whichever pattern is even), and the both-sign midpoints of
+    pairs that cross a block, whose ties only the bit path defines.
+    """
+    low = decoder.from_bits(patterns.astype(decoder.dtype))
+    high = decoder.from_bits((patterns + np.uint64(1)).astype(decoder.dtype))
+    midpoints = (low + high) / 2
+    # p and p+1 share a fraction block exactly when they share a binade.
+    block = np.frexp(low)[1] == np.frexp(high)[1]
+    even = np.where(patterns % np.uint64(2) == 0, low, high)
+    inputs = np.concatenate([low, midpoints[block]])
+    expected = np.concatenate([low, even[block]])
+    crossing = midpoints[~block]
+    return (
+        np.concatenate([inputs, -inputs]),
+        np.concatenate([expected, -expected]),
+        np.concatenate([crossing, -crossing]),
+    )
+
+
+def _compare_round_trip(collector, fmt, inputs, expected, source: str) -> int:
+    got = fmt.round_trip(inputs)
+    for idx in np.flatnonzero(float_bits(got) != float_bits(expected))[:8].tolist():
+        collector.error(
+            f"{fmt.name} round_trip({inputs[idx]!r}) gives {got[idx]!r}, "
+            f"{source} gives {expected[idx]!r}"
+        )
+    return inputs.size
+
+
+def check_round_trip_agreement(ctx, fmt: NumberFormat) -> CheckResult:
+    """Posit ``round_trip`` against the patterns and against the bit path.
+
+    ``round_trip`` rounds posits in the float domain
+    (:mod:`repro.posit.rounding`); this check gates that shortcut.
+    Lattice points and same-fraction-block upper midpoints, both signs,
+    must store as the value their patterns give.  Those expectations
+    need an exact float64 decode, so posits wider than 32 bits check the
+    same inputs against the bit path ``from_bits(to_bits(x))`` instead,
+    as every posit does for the midpoints that cross a block, the
+    specials, the float64 neighbours of all those inputs and a value
+    sample.  The pattern sample is seeded and scaled by the budget; at
+    ``full`` every positive pattern of a posit up to 32 bits is also
+    walked, in chunks of :data:`ROUND_TRIP_CHUNK`.
+    """
+    collector = FindingCollector("round-trip-agreement", fmt.name)
+    if not isinstance(fmt, PositTarget):
+        result = collector.finish(0)
+        result.skipped = True
+        return result
+
+    def bit_path(values):
+        return fmt.from_bits(fmt.to_bits(values))
+
+    exact_decode = fmt.nbits <= COMPOSED_MAX_BITS
+    exhaustive = ctx.level == "full" and exact_decode
+    # The exhaustive walk decodes through the composed tables (gated
+    # bit-exact by composed-agreement); a sample needs no table build.
+    decoder = parse_spec(fmt.name, "composed") if exhaustive else fmt
+    top = (1 << (fmt.nbits - 1)) - 1  # maxpos pattern
+    # The stratified sample, folded onto the positive half, plus the
+    # longest regimes at both ends, where exponent bits are truncated.
+    sampled = pattern_sample(
+        fmt, ctx.budget.patterns, exhaustive_max_bits=ctx.budget.exhaustive_max_bits,
+        seed=ctx.seed,
+    ) & np.uint64(top)
+    ends = np.arange(ctx.budget.pairs, dtype=np.uint64)
+    sampled = np.concatenate([sampled, ends + np.uint64(1), np.uint64(top - 1) - ends])
+    sampled = np.unique(sampled[(sampled >= 1) & (sampled < top)])
+    inputs, expected, crossing = _lattice_cases(decoder, sampled)
+    checked = 0
+    if exact_decode:
+        checked += _compare_round_trip(collector, fmt, inputs, expected, "its pattern")
+    else:
+        checked += _compare_round_trip(collector, fmt, inputs, bit_path(inputs), "bit path")
+
+    probes = np.concatenate([inputs, crossing])
+    edges = np.array([fmt.config.minpos, fmt.config.maxpos])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    others = np.concatenate([
+        crossing,
+        np.nextafter(probes, 0.0),
+        np.nextafter(probes, np.inf),
+        edges,
+        -edges,
+        np.array([5e-324, -5e-324]),
+        value_sample(fmt, ctx.budget.values, seed=ctx.seed),
+    ])
+    checked += _compare_round_trip(collector, fmt, others, bit_path(others), "bit path")
+
+    if exhaustive:
+        for start in range(1, top, ROUND_TRIP_CHUNK):
+            chunk = np.arange(start, min(start + ROUND_TRIP_CHUNK, top), dtype=np.uint64)
+            inputs, expected, crossing = _lattice_cases(decoder, chunk)
+            checked += _compare_round_trip(collector, fmt, inputs, expected, "its pattern")
+            checked += _compare_round_trip(
+                collector, fmt, crossing, bit_path(crossing), "bit path"
+            )
+    return collector.finish(checked)
 
 
 #: Metric row keys compared between the fast path and the reference.

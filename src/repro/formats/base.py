@@ -168,12 +168,21 @@ class NumberFormat(abc.ABC):
         return values
 
     def round_trip(self, values) -> np.ndarray:
-        """Store-then-load: the representable value of each input."""
+        """Store-then-load: the representable value of each input.
+
+        The one public entry point (and telemetry span) for every
+        format; a format with a faster exact rounding overrides
+        :meth:`round_trip_raw`, never this method.
+        """
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return self.from_bits(self.to_bits(values))
+            return self.round_trip_raw(values)
         with telemetry.span("formats.round_trip"):
-            return self.from_bits(self.to_bits(values))
+            return self.round_trip_raw(values)
+
+    def round_trip_raw(self, values) -> np.ndarray:
+        """Store-then-load through the bit patterns."""
+        return self.from_bits(self.to_bits(values))
 
     def layout_string(self, pattern: int) -> str:
         """Render a pattern with field separators (``0|10|01|...``)."""

@@ -20,17 +20,21 @@ def float_to_bits(values, fmt: IEEEFormat) -> np.ndarray:
     inputs of a different float width are first converted to the format's
     dtype, which rounds like storing to memory would.  bfloat16 patterns
     are derived from float32 by round-to-nearest-even truncation of the
-    low 16 bits.
+    low 16 bits.  A finite value beyond the format's range stores as
+    ±inf, as IEEE-754 defines, without a NumPy overflow warning.
     """
     array = np.asarray(values)
     if fmt.float_dtype is not None:
-        array = array.astype(fmt.float_dtype, copy=False)
+        with np.errstate(over="ignore"):
+            array = array.astype(fmt.float_dtype, copy=False)
         return array.view(fmt.dtype)
     if fmt is not BFLOAT16:
         return software_float_to_bits(values, fmt)
-    bits32 = np.asarray(values, dtype=np.float32).view(np.uint32)
+    with np.errstate(over="ignore"):
+        single = np.asarray(values, dtype=np.float32)
+    bits32 = single.view(np.uint32)
     # Round-to-nearest-even on the dropped 16 bits, NaN preserved.
-    nan_mask = np.isnan(np.asarray(values, dtype=np.float32))
+    nan_mask = np.isnan(single)
     rounding = np.uint32(0x7FFF) + ((bits32 >> np.uint32(16)) & np.uint32(1))
     rounded = (bits32 + rounding) >> np.uint32(16)
     rounded = np.where(nan_mask, (bits32 >> np.uint32(16)) | np.uint32(0x40), rounded)

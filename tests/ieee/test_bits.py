@@ -1,7 +1,11 @@
 """Tests for IEEE bit-level access."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+from repro.formats import resolve
 
 from repro.ieee.bits import (
     assemble,
@@ -39,6 +43,24 @@ class TestViews:
         value = np.float64(0.1)
         bits = float_to_bits(value, BINARY32)
         assert int(bits) == int(np.float32(0.1).view(np.uint32))
+
+
+class TestOverflowStore:
+    """An out-of-range store is defined to give ±inf, and does not warn."""
+
+    @pytest.mark.parametrize("spec", ["ieee16", "ieee32", "bfloat16"])
+    def test_out_of_range_stores_infinity_silently(self, spec):
+        fmt = resolve(spec)
+        inf_pattern = int(fmt.to_bits(np.inf))
+        neg_inf_pattern = int(fmt.to_bits(-np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = fmt.to_bits([1e300, -1e300])
+            values = fmt.round_trip([1e300, -1e300])
+            scalar = fmt.round_trip(1e300)
+        assert np.asarray(bits).tolist() == [inf_pattern, neg_inf_pattern]
+        assert np.asarray(values).tolist() == [np.inf, -np.inf]
+        assert float(scalar) == np.inf
 
 
 class TestBfloat16:
