@@ -86,7 +86,8 @@ def test_full_campaign_ieee32(benchmark, values):
 #
 # The lut backend answers from_bits/classify_bits out of exhaustive
 # tables for <= 16-bit formats; these pairs quantify what that buys per
-# narrow format (tables are built once outside the timed region).
+# narrow format (tables are built once outside the timed region).  Every
+# backend encodes with the format's own encoder, so encode is timed once.
 
 CODEC_SPECS = ("posit16", "ieee16", "bfloat16")
 
@@ -129,10 +130,3 @@ def test_codec_encode_direct(benchmark, codec_pair):
     values = direct.from_bits(bits)
     values = np.where(np.isfinite(values), values, 1.0)
     assert len(benchmark(direct.to_bits, values)) == N
-
-
-def test_codec_encode_lut(benchmark, codec_pair):
-    direct, lut, bits = codec_pair
-    values = direct.from_bits(bits)
-    values = np.where(np.isfinite(values), values, 1.0)
-    assert len(benchmark(lut.to_bits, values)) == N

@@ -1,8 +1,8 @@
 """Unified number-format stack: protocol, spec grammar, registry, backends.
 
 :func:`resolve` is the one entry point for picking a format *and* its
-codec backend — explicit ``backend=`` wins, then ``REPRO_FORMAT_BACKEND``,
-then the automatic policy.
+codec backend — an explicit ``backend=`` wins, otherwise the automatic
+policy decides (``lut`` up to 16 bits, ``direct`` beyond).
 
 >>> from repro.formats import resolve
 >>> resolve("posit16es1").nbits
@@ -16,12 +16,10 @@ then the automatic policy.
 """
 
 from repro.formats.backends import (
-    BACKEND_ENV_VAR,
     LUT_MAX_BITS,
     CodecBackend,
     DirectBackend,
     LUTBackend,
-    batch_backend_name,
     flip_patterns,
     make_backend,
     resolve_backend_name,
@@ -42,7 +40,6 @@ from repro.formats.registry import (
 from repro.formats.spec import FormatSpecError, canonical_spec, normalize_spec, parse_spec
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "COMPOSED_MAX_BITS",
     "CodecBackend",
     "ComposedLUTBackend",
@@ -57,7 +54,6 @@ __all__ = [
     "NumberFormat",
     "PositTarget",
     "available_formats",
-    "batch_backend_name",
     "canonical_spec",
     "flip_patterns",
     "format_known",

@@ -11,27 +11,30 @@ Three backends serve the protocol's hot operations:
     to answers is a table gather: ``from_bits`` indexes a precomputed
     float64 value table (the dominant cost of a campaign — every trial
     decodes a faulty pattern), ``classify_bits`` and ``regime_sizes``
-    index per-bit field tables.  ``to_bits`` resolves representable
-    inputs by binary search over the sorted value lattice and delegates
-    the residual elements (inexact values, zeros, non-finite) to the
-    direct codec, so its rounding semantics are *identical* to
-    ``direct`` by construction — the exhaustive equivalence tests assert
-    bit-identity over every pattern, not approximate agreement.
+    index per-bit field tables.  The exhaustive equivalence tests assert
+    bit-identity with ``direct`` over every pattern, not approximate
+    agreement.
 
 ``composed``
     Table decoding for widths up to 32 bits by composing two 16-bit
     gathers, with per-row bit-exactness proved at build time (see
     :mod:`repro.formats.composed`).
 
+Every backend encodes with the format's own ``encode_raw``
+(:meth:`CodecBackend.to_bits`): a campaign encodes its field once, so
+decode is the only hot direction, and one encoder cannot drift between
+backends.
+
 Tables are built lazily on first use (a 16-bit format costs one
 exhaustive decode plus ~nbits classify sweeps, ~1 MiB resident), so
 importing the registry stays cheap.
 
-Selection is automatic — ``lut`` whenever the width permits — and can
-be forced per process with ``REPRO_FORMAT_BACKEND`` or per instance via
-``repro.formats.resolve(spec, backend=...)``.  The batched campaign
-pipeline uses its own default policy (:func:`batch_backend_name`) which
-additionally picks ``composed`` for 17–32-bit formats.
+Selection is automatic — ``lut`` whenever the width permits, ``direct``
+beyond — or explicit per instance via
+``repro.formats.resolve(spec, backend=...)``.  The campaign pipeline
+(:class:`repro.inject.trial.FieldPipeline`) picks its own backend per
+field, and the conformance agreement checks pick each table backend to
+compare against ``direct``.
 
 Every backend also derives the fault decodes the campaign pipeline
 (:class:`repro.inject.trial.FieldPipeline`) calls on its stored patterns:
@@ -48,17 +51,12 @@ Every backend also derives the fault decodes the campaign pipeline
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.telemetry import get_telemetry
 
 #: Widest format the LUT backend will tabulate (2**16 entries).
 LUT_MAX_BITS = 16
-
-#: Environment variable overriding automatic backend selection.
-BACKEND_ENV_VAR = "REPRO_FORMAT_BACKEND"
 
 _BACKEND_CHOICES = ("auto", "direct", "lut", "composed")
 
@@ -81,60 +79,19 @@ def flip_patterns(bits, bit_indices, dtype) -> np.ndarray:
 def resolve_backend_name(fmt, requested: str | None) -> str:
     """Decide which backend a format instance should use.
 
-    Explicit ``requested`` wins, then the ``REPRO_FORMAT_BACKEND``
-    environment variable, then ``auto`` (LUT for every format narrow
-    enough to tabulate).  An explicit ``lut``/``composed`` request for a
-    too-wide format is an error; the same choice at environment level
-    quietly falls back to ``direct`` so one process-wide setting never
-    breaks wider campaigns.
+    An explicit ``requested`` name wins; ``None`` or ``auto`` picks
+    ``lut`` for every format narrow enough to tabulate and ``direct``
+    beyond.  A table backend rejects a format too wide for it when
+    :func:`make_backend` builds it.
     """
-    from repro.formats.composed import COMPOSED_MAX_BITS
-
-    choice = requested if requested is not None else os.environ.get(BACKEND_ENV_VAR, "auto")
-    choice = choice.strip().lower()
+    choice = "auto" if requested is None else requested.strip().lower()
     if choice not in _BACKEND_CHOICES:
         raise ValueError(
             f"unknown format backend {choice!r}; choose from {', '.join(_BACKEND_CHOICES)}"
         )
-    if choice == "lut" and fmt.nbits > LUT_MAX_BITS:
-        if requested is None:
-            return "direct"
-        raise ValueError(
-            f"lut backend supports formats up to {LUT_MAX_BITS} bits, "
-            f"but {fmt.name} has {fmt.nbits}"
-        )
-    if choice == "composed" and fmt.nbits > COMPOSED_MAX_BITS:
-        if requested is None:
-            return "direct"
-        raise ValueError(
-            f"composed backend supports formats up to {COMPOSED_MAX_BITS} bits, "
-            f"but {fmt.name} has {fmt.nbits}"
-        )
     if choice == "auto":
         return "lut" if fmt.nbits <= LUT_MAX_BITS else "direct"
     return choice
-
-
-def batch_backend_name(fmt) -> str:
-    """Default backend for the batched campaign pipeline.
-
-    Unlike the scalar ``auto`` policy (which never changes an existing
-    format instance's behavior), the pipeline constructs its own codec
-    per field and can afford the composed backend's one-time table
-    build, so 17–32-bit formats get ``composed`` by default.  A
-    non-``auto`` ``REPRO_FORMAT_BACKEND`` still wins, with the same
-    width fallbacks as :func:`resolve_backend_name`.
-    """
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env is not None and env.strip().lower() != "auto":
-        return resolve_backend_name(fmt, None)
-    from repro.formats.composed import COMPOSED_MAX_BITS
-
-    if fmt.nbits <= LUT_MAX_BITS:
-        return "lut"
-    if fmt.nbits <= COMPOSED_MAX_BITS:
-        return "composed"
-    return "direct"
 
 
 def make_backend(fmt, requested: str | None = None):
@@ -150,15 +107,18 @@ def make_backend(fmt, requested: str | None = None):
 
 
 class CodecBackend:
-    """Shared fault decodes every codec backend inherits.
+    """The encoder and fault decodes every codec backend inherits.
 
-    Concrete backends implement the scalar protocol
-    (``to_bits``/``from_bits``/``classify_bits``/``regime_sizes``); the
-    fault decodes below are derived from its ``from_bits``.
+    Concrete backends implement the decode side of the protocol
+    (``from_bits``/``classify_bits``/``regime_sizes``); the one encoder
+    and the fault decodes below are shared.
     """
 
     backend_name = "abstract"
     _fmt: object
+
+    def to_bits(self, values) -> np.ndarray:
+        return self._fmt.encode_raw(values)
 
     def decode_flips(self, bits, bit_indices) -> np.ndarray:
         """Decode ``bits`` with each row's listed bit flipped."""
@@ -186,9 +146,6 @@ class DirectBackend(CodecBackend):
     def __init__(self, fmt) -> None:
         self._fmt = fmt
 
-    def to_bits(self, values) -> np.ndarray:
-        return self._fmt.encode_raw(values)
-
     def from_bits(self, bits) -> np.ndarray:
         return self._fmt.decode_raw(bits)
 
@@ -213,8 +170,6 @@ class LUTBackend(CodecBackend):
         self._fmt = fmt
         self._mask = (1 << fmt.nbits) - 1
         self._values: np.ndarray | None = None
-        self._sorted_values: np.ndarray | None = None
-        self._sorted_patterns: np.ndarray | None = None
         self._classify_tables: list[np.ndarray | None] = [None] * fmt.nbits
         self._regime_table: np.ndarray | None = None
 
@@ -243,18 +198,6 @@ class LUTBackend(CodecBackend):
                 ),
             )
         return self._values
-
-    def _ensure_sorted(self) -> None:
-        if self._sorted_values is not None:
-            return
-        values = self._ensure_values()
-
-        def build():
-            finite = np.nonzero(np.isfinite(values) & (values != 0))[0]
-            order = np.argsort(values[finite], kind="stable")
-            return values[finite][order], finite[order].astype(self._fmt.dtype)
-
-        self._sorted_values, self._sorted_patterns = self._build("sorted", build)
 
     def _ensure_classify(self, bit_index: int) -> np.ndarray:
         table = self._classify_tables[bit_index]
@@ -286,26 +229,6 @@ class LUTBackend(CodecBackend):
 
     def from_bits(self, bits) -> np.ndarray:
         return self._ensure_values()[self._indices(bits)]
-
-    def to_bits(self, values) -> np.ndarray:
-        self._ensure_sorted()
-        array = np.asarray(values, dtype=np.float64)
-        flat = array.reshape(-1)
-        idx = np.searchsorted(self._sorted_values, flat)
-        idx = np.minimum(idx, self._sorted_values.size - 1)
-        # Exactly representable, finite, nonzero values resolve by table;
-        # everything else (values needing rounding, zeros with a sign,
-        # NaN/inf saturation) delegates to the direct codec so rounding
-        # semantics cannot drift between backends.
-        exact = (self._sorted_values[idx] == flat) & np.isfinite(flat) & (flat != 0)
-        out = np.empty(flat.shape, dtype=self._fmt.dtype)
-        out[exact] = self._sorted_patterns[idx[exact]]
-        if not np.all(exact):
-            rest = ~exact
-            out[rest] = np.asarray(
-                self._fmt.encode_raw(flat[rest]), dtype=self._fmt.dtype
-            )
-        return out.reshape(array.shape)
 
     def classify_bits(self, bits, bit_index: int) -> np.ndarray:
         return self._ensure_classify(bit_index)[self._indices(bits)]

@@ -127,13 +127,16 @@ class NumberFormat(abc.ABC):
 
     def classify_bits(self, bits, bit_index: int) -> np.ndarray:
         """Per-element field id of ``bit_index`` (format-specific enum)."""
-        if not 0 <= bit_index < self.nbits:
-            raise ValueError(f"bit_index must be in [0, {self.nbits}), got {bit_index}")
+        self._check_bit(bit_index)
         return self._backend.classify_bits(bits, bit_index)
 
     def regime_sizes(self, bits) -> np.ndarray:
         """Regime size k per element; zeros for systems without a regime."""
         return self._backend.regime_sizes(bits)
+
+    def _check_bit(self, bit_index: int) -> None:
+        if not 0 <= bit_index < self.nbits:
+            raise ValueError(f"bit_index must be in [0, {self.nbits}), got {bit_index}")
 
     # -- fault decodes ----------------------------------------------------
 
@@ -144,6 +147,8 @@ class NumberFormat(abc.ABC):
         shape ``(len(bit_indices), bits.size)``); an array with a
         leading row axis is flipped row-wise.
         """
+        for bit_index in np.asarray(bit_indices).reshape(-1).tolist():
+            self._check_bit(bit_index)
         telemetry = get_telemetry()
         if not telemetry.enabled:
             return self._backend.decode_flips(bits, bit_indices)

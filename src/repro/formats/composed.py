@@ -34,9 +34,8 @@ row's field layout is fixed by ``hi`` unless the regime run reaches the
 low half, so one ``(2**hi_bits, nbits)`` field table plus a stability
 flag per row answers classification with one fancy gather.
 
-``to_bits`` delegates to the direct codec: a campaign encodes its field
-once (:class:`repro.inject.trial.FieldPipeline`), so decode is the only
-hot direction.
+``to_bits`` is the one encoder every backend shares
+(:meth:`repro.formats.backends.CodecBackend.to_bits`).
 """
 
 from __future__ import annotations
@@ -180,9 +179,6 @@ class ComposedLUTBackend(CodecBackend):
         return idx >> self._lo_bits, idx & self._lo_mask
 
     # -- backend protocol -------------------------------------------------
-
-    def to_bits(self, values) -> np.ndarray:
-        return self._fmt.encode_raw(values)
 
     def from_bits(self, bits) -> np.ndarray:
         self._ensure_values()

@@ -100,11 +100,10 @@ def resolve(spec: str | NumberFormat, *, backend: str | None = None) -> NumberFo
     grammar string (``posit32``, ``binary(8,23)``,
     ``fixedposit(16,es=2,r=3)``), or an existing instance (returned
     untouched).  ``backend`` picks the codec explicitly
-    (``direct``/``lut``/``composed``); when omitted, the
-    ``REPRO_FORMAT_BACKEND`` environment variable applies, and after
-    that the automatic policy (LUT tables for formats narrow enough to
-    tabulate, direct codec otherwise) — precedence and fallback rules
-    live in :func:`repro.formats.backends.resolve_backend_name`.
+    (``direct``/``lut``/``composed``); when omitted, the automatic
+    policy applies (LUT tables for formats narrow enough to tabulate,
+    direct codec otherwise), see
+    :func:`repro.formats.backends.resolve_backend_name`.
 
     Instances are cached per ``(canonical name, backend)``, so repeated
     lookups share codec tables.  Raises

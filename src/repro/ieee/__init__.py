@@ -15,6 +15,7 @@ from repro.ieee.bits import (
     flip_bit,
     flip_float_bit,
     float_to_bits,
+    is_hardware_layout,
 )
 from repro.ieee.fields import IEEEField, classify_bit, field_map, field_of_bit, layout_string
 from repro.ieee.formats import (
@@ -51,6 +52,7 @@ __all__ = [
     "float_to_bits",
     "format_by_name",
     "is_finite",
+    "is_hardware_layout",
     "is_inf",
     "is_nan",
     "is_subnormal",

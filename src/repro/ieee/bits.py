@@ -13,6 +13,17 @@ import numpy as np
 from repro.ieee.formats import BFLOAT16, BINARY32, IEEEFormat
 
 
+def is_hardware_layout(fmt: IEEEFormat) -> bool:
+    """Whether ``fmt`` converts without software arithmetic.
+
+    The native widths (binary16/32/64) convert by a NumPy dtype cast
+    and bfloat16 by a 16-bit shift against float32; every other
+    ``binary(e,f)`` layout takes the software codec below.  Table
+    decoding pays off only for the latter.
+    """
+    return fmt.float_dtype is not None or fmt is BFLOAT16
+
+
 def float_to_bits(values, fmt: IEEEFormat) -> np.ndarray:
     """Bit patterns of float values, as the format's unsigned dtype.
 
@@ -44,10 +55,10 @@ def float_to_bits(values, fmt: IEEEFormat) -> np.ndarray:
 def bits_to_float(bits, fmt: IEEEFormat) -> np.ndarray:
     """Float values of bit patterns (inverse of :func:`float_to_bits`)."""
     array = np.asarray(bits).astype(fmt.dtype, copy=False)
+    if not is_hardware_layout(fmt):
+        return software_bits_to_float(array, fmt)
     if fmt.float_dtype is not None:
         return array.view(fmt.float_dtype)
-    if fmt is not BFLOAT16:
-        return software_bits_to_float(array, fmt)
     bits32 = array.astype(np.uint32) << np.uint32(16)
     return bits32.view(np.float32)
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.inject.faults import FaultModel, SingleBitFlip
 from repro.inject.results import TrialRecords
-from repro.formats import NumberFormat
+from repro.formats import COMPOSED_MAX_BITS, LUT_MAX_BITS, IEEETarget, NumberFormat, resolve
+from repro.ieee import is_hardware_layout
 from repro.metrics.fast import FaultMetrics, vectorized_single_fault
 from repro.metrics.pointwise import scalar_relative_error
 from repro.metrics.summary import SummaryStats
@@ -82,19 +83,26 @@ def run_single_trial(
     )
 
 
-def _batch_format(target: NumberFormat) -> NumberFormat:
-    """The codec instance serving the batched pipeline for ``target``.
+def _pipeline_format(target: NumberFormat) -> NumberFormat:
+    """The one format instance a field pipeline encodes and decodes through.
 
-    The pipeline prefers the batch backend policy (LUT tables when
-    tabulable, composed tables at 17–32 bits) over the instance's own
-    backend; instances come from the registry so tables are shared
-    across pipelines and fields.  Formats that cannot rehydrate from
-    their name fall back to the instance itself.
+    Tables pay off only where decoding is software arithmetic: posits,
+    fixed-posits and software ``binary(e,f)`` layouts get ``lut`` tables
+    up to 16 bits and ``composed`` tables up to 32, amortized over every
+    bit of the field.  Layouts that hardware converts by a cast or a
+    shift (:func:`repro.ieee.is_hardware_layout`), and anything wider
+    than 32 bits, decode with ``direct``.  Instances come from the
+    registry so tables are shared across pipelines; a format that cannot
+    rehydrate from its name serves as it is.
     """
-    from repro.formats import resolve
-    from repro.formats.backends import batch_backend_name
-
-    name = batch_backend_name(target)
+    if isinstance(target, IEEETarget) and is_hardware_layout(target.format):
+        name = "direct"
+    elif target.nbits <= LUT_MAX_BITS:
+        name = "lut"
+    elif target.nbits <= COMPOSED_MAX_BITS:
+        name = "composed"
+    else:
+        name = "direct"
     if target.backend_name == name:
         return target
     try:
@@ -109,11 +117,9 @@ class FieldPipeline:
     Attributes
     ----------
     target:
-        The format the campaign was asked to run against.
-    batch:
-        The (possibly different-backend) codec instance serving the
-        trial decodes; decodes are bit-identical to ``target`` by the
-        conformance gate.
+        The campaign's format, as the instance whose codec backend suits
+        a whole field (see :func:`_pipeline_format`); every backend is
+        bit-identical to ``direct`` by the conformance gate.
     data / bits / stored:
         The flat dataset as given (raw or already stored), its patterns
         in the target format (encoded exactly once), and the
@@ -121,11 +127,10 @@ class FieldPipeline:
     """
 
     def __init__(self, target: NumberFormat, data: np.ndarray) -> None:
-        self.target = target
-        self.batch = _batch_format(target)
+        self.target = _pipeline_format(target)
         self.data = np.asarray(data).reshape(-1)
         self.bits = self.target.to_bits(self.data)
-        self.stored = self.batch.from_bits(self.bits)
+        self.stored = self.target.from_bits(self.bits)
 
     @property
     def size(self) -> int:
@@ -148,12 +153,12 @@ class FieldPipeline:
         if type(fault) is SingleBitFlip and fault.bit_index == bit_index:
             # The standard campaign fault never consumes the RNG, so the
             # pure-XOR batch path is stream-identical to fault.apply.
-            faulty = self.batch.decode_flips(bits_sel, [bit_index])[0]
+            faulty = self.target.decode_flips(bits_sel, [bit_index])[0]
         else:
             masks = fault.masks(bits_sel.shape, self.target.nbits, rng)
-            faulty = self.batch.decode_masked(bits_sel, masks)
-        fields = self.batch.classify_bits(bits_sel, bit_index)
-        regimes = self.batch.regime_sizes(bits_sel)
+            faulty = self.target.decode_masked(bits_sel, masks)
+        fields = self.target.classify_bits(bits_sel, bit_index)
+        regimes = self.target.regime_sizes(bits_sel)
         metrics = vectorized_single_fault(baseline, originals, faulty)
         return _assemble_records(
             bit_index,

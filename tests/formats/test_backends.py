@@ -10,7 +10,15 @@ trial.
 import numpy as np
 import pytest
 
-from repro.formats import LUT_MAX_BITS, available_formats, get_format
+from repro.formats import (
+    LUT_MAX_BITS,
+    ComposedLUTBackend,
+    DirectBackend,
+    LUTBackend,
+    available_formats,
+    get_format,
+)
+from repro.telemetry import Telemetry, telemetry_scope
 
 #: Parameterized formats exercising the spec grammar beyond the defaults.
 EXTRA_SPECS = ["posit16es1", "posit12es1", "binary(6,9)", "fixedposit(16,es=2,r=3)"]
@@ -88,3 +96,16 @@ class TestLUTShapeHandling:
         assert bits.shape == (3, 4)
         assert lut.from_bits(bits).shape == (3, 4)
         assert lut.classify_bits(bits, 3).shape == (3, 4)
+
+
+class TestOneEncoder:
+    def test_to_bits_has_one_implementation(self):
+        for backend in (DirectBackend, LUTBackend, ComposedLUTBackend):
+            assert "to_bits" not in vars(backend), backend.backend_name
+
+    def test_lut_encode_builds_no_table(self, rng):
+        collector = Telemetry()
+        lut = LUTBackend(get_format("posit16"))
+        with telemetry_scope(collector):
+            lut.to_bits(rng.lognormal(0, 3, 256))
+        assert "formats.lut.tables_built" not in collector.snapshot().counters

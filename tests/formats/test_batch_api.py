@@ -11,11 +11,11 @@ import pytest
 
 from repro.formats import (
     available_formats,
-    batch_backend_name,
     flip_patterns,
     get_format,
     resolve,
 )
+from repro.inject import FieldPipeline
 
 
 def _dataset(rng, size=512):
@@ -49,6 +49,16 @@ class TestDecodeFlips:
         assert np.array_equal(out[0], fmt.decode_flips(bits, [3])[0])
         assert np.array_equal(out[1], fmt.decode_flips(bits[::-1], [9])[0])
 
+    @pytest.mark.parametrize("name", ["posit16", "posit32"])
+    def test_out_of_range_bit_rejected(self, name):
+        fmt = get_format(name)
+        bits = np.asarray(fmt.to_bits(np.array([1.0, -3.5])))
+        for bit in (fmt.nbits, -1, fmt.nbits + 8):
+            with pytest.raises(ValueError, match="bit_index must be in"):
+                fmt.decode_flips(bits, [bit])
+            with pytest.raises(ValueError, match="bit_index must be in"):
+                fmt.decode_flips(bits, [0, bit])
+
     def test_flip_patterns_helper(self):
         bits = np.array([0b0000, 0b1111], dtype=np.uint16)
         flipped = flip_patterns(bits, [0, 3], np.uint16)
@@ -56,16 +66,24 @@ class TestDecodeFlips:
 
 
 class TestBatchBackendPolicy:
-    def test_width_tiers(self):
-        assert batch_backend_name(get_format("posit16")) == "lut"
-        assert batch_backend_name(get_format("posit8")) == "lut"
-        assert batch_backend_name(get_format("posit32")) == "composed"
-        assert batch_backend_name(get_format("ieee32")) == "composed"
-        assert batch_backend_name(get_format("ieee64")) == "direct"
+    """The field pipeline's one format instance builds tables only where
+    decoding is software arithmetic."""
 
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "direct")
-        assert batch_backend_name(get_format("posit32")) == "direct"
+    @staticmethod
+    def _backend(name):
+        return FieldPipeline(resolve(name), np.linspace(-4, 4, 16)).target.backend_name
+
+    def test_width_tiers(self):
+        assert self._backend("posit16") == "lut"
+        assert self._backend("posit8") == "lut"
+        assert self._backend("binary(6,9)") == "lut"
+        assert self._backend("posit32") == "composed"
+        assert self._backend("binary(8,16)") == "composed"
+        assert self._backend("posit64") == "direct"
+
+    @pytest.mark.parametrize("name", ["ieee16", "bfloat16", "ieee32", "ieee64"])
+    def test_hardware_layouts_decode_direct(self, name):
+        assert self._backend(name) == "direct"
 
     def test_batch_instances_share_registry_cache(self):
         assert resolve("posit32", backend="composed") is resolve(

@@ -88,12 +88,6 @@ class TestComposedEquivalence:
             parse_spec("ieee64", "composed")
         assert COMPOSED_MAX_BITS == 32
 
-    def test_env_override_degrades_for_wide_formats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "composed")
-        assert parse_spec("posit32").backend_name == "composed"
-        # Too wide to compose: quietly falls back instead of erroring.
-        assert parse_spec("ieee64").backend_name == "direct"
-
     def test_backend_class_exported(self):
         assert resolve("posit32", backend="composed").backend_name == "composed"
         assert ComposedLUTBackend.backend_name == "composed"

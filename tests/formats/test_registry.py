@@ -67,19 +67,16 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="lut"):
             get_format("posit32", backend="lut")
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "direct")
-        assert parse_spec("posit16").backend_name == "direct"
-        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "lut")
-        # Quietly degrades for formats too wide to tabulate.
-        assert parse_spec("posit32").backend_name == "direct"
+    def test_unknown_backend_rejected(self):
         for unknown in ("bogus", "numba"):
-            monkeypatch.setenv("REPRO_FORMAT_BACKEND", unknown)
-            with pytest.raises(ValueError, match="unknown format backend"):
-                parse_spec("posit16")
-            monkeypatch.delenv("REPRO_FORMAT_BACKEND")
             with pytest.raises(ValueError, match="unknown format backend"):
                 parse_spec("posit16", unknown)
+
+    def test_env_var_is_ignored(self, monkeypatch):
+        # The process-wide override was removed; only ``backend=`` picks.
+        monkeypatch.setenv("REPRO_FORMAT_BACKEND", "direct")
+        assert parse_spec("posit16").backend_name == "lut"
+        assert parse_spec("posit32").backend_name == "direct"
 
 
 class TestResolveEntryPoint:
