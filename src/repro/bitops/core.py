@@ -13,7 +13,6 @@ import numpy as np
 from repro.bitops.lut import CLZ16, POPCOUNT16
 
 _UINT_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-_INT_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32, 64: np.int64}
 
 
 def uint_dtype_for(width: int) -> np.dtype:
@@ -21,16 +20,6 @@ def uint_dtype_for(width: int) -> np.dtype:
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     for bits, dtype in _UINT_DTYPES.items():
-        if width <= bits:
-            return np.dtype(dtype)
-    raise ValueError(f"width {width} exceeds 64 bits")
-
-
-def int_dtype_for(width: int) -> np.dtype:
-    """Smallest signed NumPy dtype whose width covers ``width`` bits."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    for bits, dtype in _INT_DTYPES.items():
         if width <= bits:
             return np.dtype(dtype)
     raise ValueError(f"width {width} exceeds 64 bits")

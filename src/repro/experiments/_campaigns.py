@@ -7,8 +7,6 @@ results are memoized per (field, target, scale) within the process.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datasets.registry import get as get_preset
 from repro.experiments.base import ExperimentParams
 from repro.inject.campaign import CampaignConfig, CampaignResult, run_campaign
@@ -41,20 +39,8 @@ def field_campaign(
     return result
 
 
-def clear_cache() -> None:
-    """Drop memoized campaigns (tests use this for isolation)."""
-    _CACHE.clear()
-
-
 def merged_records(results: list[CampaignResult]):
     """Concatenate the records of several campaigns (multi-field pools)."""
     from repro.inject.results import TrialRecords
 
     return TrialRecords.concatenate([result.records for result in results])
-
-
-def mean_rel_series(result: CampaignResult, nbits: int) -> np.ndarray:
-    """Mean (finite) relative error per bit — the Fig. 10 y-values."""
-    from repro.analysis.aggregate import aggregate_by_bit
-
-    return aggregate_by_bit(result.records, nbits).mean_rel_err

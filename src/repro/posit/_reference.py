@@ -192,14 +192,3 @@ def _apply_sign(pattern: int, negative: bool, config: PositConfig) -> int:
     if negative:
         return (~pattern + 1) & config.mask
     return pattern
-
-
-def next_pattern_up(pattern: int, config: PositConfig) -> int:
-    """The next posit pattern in value order (wraps through NaR)."""
-    return (int(pattern) + 1) & config.mask
-
-
-def pattern_ulp_neighbors(pattern: int, config: PositConfig) -> tuple[int, int]:
-    """The (lower, upper) neighboring patterns in value order."""
-    pattern = int(pattern) & config.mask
-    return (pattern - 1) & config.mask, (pattern + 1) & config.mask

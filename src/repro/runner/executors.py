@@ -11,11 +11,12 @@ computed is mechanism, and this module owns it behind one interface:
     and requeue, retry with backoff, in-process fallback when the pool
     itself breaks.
 :class:`WorkStealingExecutor`
-    Independent worker processes claim shards from the shared run
-    directory via atomic lease files (:mod:`repro.runner.leases`);
-    additional ``campaign worker`` processes on any machine sharing the
-    filesystem can join mid-run, and a killed worker's lease expires
-    and is stolen.
+    ``jobs`` forked :class:`repro.runner.worker.ShardWorker` processes
+    claim shards from the shared run directory via atomic lease files
+    (:mod:`repro.runner.leases`) while the calling process only adopts
+    their completions; additional ``campaign worker`` processes on any
+    machine sharing the filesystem can join mid-run, and a killed
+    worker's lease expires and is stolen.
 
 Executors see the run only through an :class:`ExecutionContext` — a
 narrow facade over the runner that exposes what mechanism needs (shard
@@ -33,17 +34,16 @@ import signal
 import time
 
 from repro.runner.errors import RunnerError
-from repro.runner.leases import (
-    DEFAULT_LEASE_TIMEOUT,
-    LeaseHeartbeat,
-    cancel_requested,
-    read_done_records,
-    try_claim,
-)
+from repro.runner.leases import DEFAULT_LEASE_TIMEOUT, active_leases, cancel_requested
+from repro.runner.manifest import read_completions
 
 
 #: Base of the exponential backoff sleep between attempts of a failing shard.
 RETRY_BACKOFF = 0.05
+
+#: Seconds between a forked lease worker's idle sweeps, and between the
+#: work-stealing executor's completion polls.
+POLL_INTERVAL = 0.05
 
 
 def timed_compute(job, spec):
@@ -56,9 +56,9 @@ def timed_compute(job, spec):
 def attempt_shard(spec, compute, *, max_retries: int, chaos, emit, on_retry=None):
     """Compute one shard, retrying failures: ``(records, duration, attempts)``.
 
-    The one in-process attempt loop, shared by the serial executor, the
-    work-stealing coordinator, and every :class:`ShardWorker`.  Each
-    attempt first fires the chaos plan's compute faults, then calls
+    The one in-process attempt loop, shared by the serial executor and
+    every :class:`ShardWorker`.  Each attempt first fires the chaos
+    plan's compute faults, then calls
     ``compute(spec) -> (records, duration)``.  A failure emits
     ``shard_error``, sleeps an exponential backoff, and emits
     ``shard_retry``; after ``max_retries`` extra attempts it raises
@@ -143,11 +143,6 @@ class ExecutionContext:
     @property
     def telemetry(self):
         return self._runner.telemetry
-
-    @property
-    def worker_id(self) -> str:
-        """This process's identity in done records and lease claims."""
-        return self._runner._worker_id
 
     @property
     def trace_enabled(self) -> bool:
@@ -403,9 +398,8 @@ class PoolExecutor(Executor):
             heartbeats.close()
 
 
-def _work_stealing_child(run_dir, job, seeds, max_retries, lease_timeout,
-                         poll_interval, chaos, telemetry_enabled=False,
-                         trace_enabled=False) -> None:
+def _work_stealing_child(run_dir, job, seeds, max_retries, chaos,
+                         telemetry_enabled=False, trace_enabled=False) -> None:
     """Entry point of a forked in-run work-stealing worker.
 
     The job (and the field store or clean solve it carries) arrives
@@ -430,54 +424,50 @@ def _work_stealing_child(run_dir, job, seeds, max_retries, lease_timeout,
             job=job,
             seeds=seeds,
             max_retries=max_retries,
-            lease_timeout=lease_timeout,
-            poll_interval=poll_interval,
+            poll_interval=POLL_INTERVAL,
             chaos=chaos,
             finalize=False,
             telemetry=bool(telemetry_enabled),
             trace=bool(trace_enabled),
         ).run()
     except Exception:
-        # The child is expendable: the coordinator steals its leases and
-        # recomputes anything it failed to deliver.  Exiting nonzero is
-        # the only signal it leaves.
+        # The child is expendable: a sibling steals its leases, and a
+        # shard nobody delivers fails the run with a resumable error.
+        # Exiting nonzero is the only signal it leaves.
         os._exit(1)
 
 
 class WorkStealingExecutor(Executor):
-    """Cooperating processes claim shards via run-directory lease files.
+    """``jobs`` forked lease workers compute; the calling process adopts.
 
-    The calling (coordinator) process is itself one worker: it claims
-    and computes shards through the runner's normal completion path and
-    is the *only* process that writes the manifest.  ``workers - 1``
-    forked children run :class:`repro.runner.worker.ShardWorker` loops:
-    each claims a lease, computes, writes the shard CSV + a done record
-    under ``leases/`` (the same completion path), and appends its own
-    events.  The coordinator *adopts* children's shards by loading them
-    (checksum-verified against their done records) into the run's
-    result; the manifest picks them up at the runner's finish fold, so
-    concurrent manifest writes never happen.
+    Each forked child runs the :class:`repro.runner.worker.ShardWorker`
+    loop that standalone ``campaign worker`` processes run: it claims a
+    lease, computes, writes the shard CSV + a done record under
+    ``leases/`` (the one completion path), and appends its own events.
+    The calling process computes nothing.  It polls the completions,
+    *adopts* each shard by loading it (checksum-verified against its
+    done record) into the run's result, and is the *only* process that
+    writes the manifest, at the runner's finish fold, so concurrent
+    manifest writes never happen.  Every shard of the result is read
+    back from disk, so ``result.records`` equals
+    :func:`repro.runner.load_run_records` bit for bit.
 
     Because claims go through the shared filesystem, external
     ``campaign worker <run-dir>`` processes — on this machine or any
     other sharing the filesystem — can join the same run at any time.
     A worker that dies mid-shard stops refreshing its lease's mtime;
-    after ``lease_timeout`` the lease is stolen and the shard recomputed
-    (bit-identically, thanks to per-bit seed streams).
+    after :data:`~repro.runner.leases.DEFAULT_LEASE_TIMEOUT` the lease
+    is stolen and the shard recomputed (bit-identically, thanks to
+    per-bit seed streams).  When every child has exited and shards are
+    still pending with no live lease on them, the run fails with a
+    :class:`RunnerError` naming them; ``campaign resume`` finishes them.
     """
 
     name = "work-stealing"
 
-    def __init__(self, workers: int | None = None,
-                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-                 poll_interval: float = 0.05):
-        if lease_timeout <= 0:
-            raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
-        self.workers = workers
-        self.lease_timeout = float(lease_timeout)
-        self.poll_interval = float(poll_interval)
-
     def execute(self, pending, ctx: ExecutionContext) -> None:
+        if not pending:
+            return
         if ctx.run_dir is None:
             raise RunnerError(
                 "the work-stealing executor coordinates through lease files "
@@ -485,87 +475,49 @@ class WorkStealingExecutor(Executor):
                 "executor for in-memory runs)"
             )
         run_dir = ctx.run_dir
-        worker_id = ctx.worker_id
-        workers = self.workers if self.workers is not None else ctx.jobs
         seeds = {spec.bit: spec.seed for spec in pending}
         context = multiprocessing.get_context("fork")
         children = [
             context.Process(
                 target=_work_stealing_child,
-                args=(run_dir, ctx.job, seeds, ctx.max_retries,
-                      self.lease_timeout, self.poll_interval, ctx.chaos,
+                args=(run_dir, ctx.job, seeds, ctx.max_retries, ctx.chaos,
                       ctx.telemetry.enabled, ctx.trace_enabled),
                 daemon=True,
             )
-            for _ in range(max(workers - 1, 0))
+            for _ in range(ctx.jobs)
         ]
         for child in children:
             child.start()
 
         remaining = {spec.bit: spec for spec in pending}
         try:
-            while remaining:
+            while True:
                 if cancel_requested(run_dir):
                     raise RunnerError(
                         f"run cancelled (CANCELLED sentinel in {run_dir})"
                     )
-                done = read_done_records(run_dir)
-                progressed = False
-                for bit in sorted(remaining):
-                    spec = remaining[bit]
-                    record = done.get(bit)
-                    if record is not None:
-                        if record.get("worker") != worker_id:
-                            ctx.adopt(spec, record)
-                            ctx.telemetry.count("runner.shards_adopted")
-                        remaining.pop(bit)
-                        progressed = True
-                        continue
-                    lease = try_claim(run_dir, bit, worker_id,
-                                      lease_timeout=self.lease_timeout)
-                    if lease is None:
-                        continue  # another worker holds it; revisit next sweep
-                    # Re-check done records *after* claiming, exactly like
-                    # ShardWorker: the sweep-start read goes stale while
-                    # earlier bits in this sweep compute, and a cooperating
-                    # worker may have finished (and released) this bit in
-                    # the meantime.  Done records are written before lease
-                    # release, so a post-claim re-check is race-free —
-                    # without it the coordinator silently recomputes
-                    # already-finished shards (bit-identical, but wasted
-                    # work that breaks N-worker telemetry counter identity).
-                    record = read_done_records(run_dir).get(bit)
-                    if record is not None:
-                        lease.release()
-                        if record.get("worker") != worker_id:
-                            ctx.adopt(spec, record)
-                            ctx.telemetry.count("runner.shards_adopted")
-                        remaining.pop(bit)
-                        progressed = True
-                        continue
-                    progressed = True
-                    ctx.telemetry.count("runner.leases_claimed")
-                    detail = {"worker": worker_id}
-                    if lease.stolen_from:
-                        ctx.telemetry.count("runner.leases_stolen")
-                        ctx.emit("lease_stolen", bit=bit,
-                                 detail={"worker": worker_id,
-                                         "stolen_from": lease.stolen_from},
-                                 error=f"lease of {lease.stolen_from} expired")
-                    ctx.emit("shard_claimed", bit=bit, detail=detail)
-                    try:
-                        with LeaseHeartbeat(lease, self.lease_timeout / 3.0):
-                            records, duration, attempts = ctx.attempt(spec)
-                    except BaseException:
-                        lease.release()
-                        raise
-                    ctx.finish(spec, records, duration, attempts)
-                    lease.release()
-                    remaining.pop(bit)
-                if remaining and not progressed:
-                    time.sleep(self.poll_interval)
+                # Sampled before the read: a child that exits after
+                # delivering its last shard is then seen to have done so.
+                exited = not any(child.is_alive() for child in children)
+                done = read_completions(run_dir)
+                for bit in sorted(remaining.keys() & done.keys()):
+                    ctx.adopt(remaining.pop(bit), done[bit])
+                    ctx.telemetry.count("runner.shards_adopted")
+                if not remaining:
+                    break
+                if exited and not any(
+                    lease["bit"] in remaining
+                    and lease["age_seconds"] <= DEFAULT_LEASE_TIMEOUT
+                    for lease in active_leases(run_dir)
+                ):
+                    raise RunnerError(
+                        f"every work-stealing worker exited with bit(s) "
+                        f"{sorted(remaining)} still pending; "
+                        f"`campaign resume {run_dir}` finishes them"
+                    )
+                time.sleep(POLL_INTERVAL)
         finally:
-            deadline = time.monotonic() + max(self.lease_timeout, 5.0)
+            deadline = time.monotonic() + DEFAULT_LEASE_TIMEOUT
             for child in children:
                 child.join(timeout=max(deadline - time.monotonic(), 0.1))
                 if child.is_alive():

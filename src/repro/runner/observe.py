@@ -1,7 +1,7 @@
 """One process's observability session in a traced run.
 
-Every process working a run directory — the runner (serial, pool, or
-work-stealing coordinator) and each :class:`repro.runner.worker.ShardWorker`
+Every process working a run directory — the runner (under any
+executor) and each :class:`repro.runner.worker.ShardWorker`
 — opens the same session when the run is traced: a span writer under
 ``<run_dir>/trace/`` and a sampler thread appending time-series points
 under ``<run_dir>/metrics/``.  Closing it stops the sampler, emits the

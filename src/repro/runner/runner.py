@@ -2,14 +2,16 @@
 
 A :class:`CampaignRunner` turns a campaign into a plan of per-bit
 :class:`ShardSpec` units (the same unit of work the paper scatters over
-cluster nodes), executes them serially or on a fork pool, and — when
-given a run directory — persists every completed shard plus its done
-record, and writes a JSON manifest folded from those records at start,
-checkpoint, and finish, so an interrupted run can :meth:`resume` to a result
-bit-identical to an uninterrupted one.  Bit-identity is guaranteed by
-the campaign's seeding discipline: each bit's trial stream comes from an
-independent ``SeedSequence.spawn`` child, so shards can run in any
-order, any number of times, on any worker, and produce the same records.
+cluster nodes), has an executor (:mod:`repro.runner.executors`) compute
+them — in-process, on a fork pool, or on forked lease workers whose
+shards it adopts — and, when given a run directory, persists every
+completed shard plus its done record, and writes a JSON manifest
+folded from those records at start, checkpoint, and finish, so an
+interrupted run can :meth:`resume` to a result bit-identical to an
+uninterrupted one.  Bit-identity is guaranteed by the campaign's
+seeding discipline: each bit's trial stream comes from an independent
+``SeedSequence.spawn`` child, so shards can run in any order, any
+number of times, on any worker, and produce the same records.
 
 Every process computes a shard the same way: through the run's shard
 job (:class:`ShardJob` here, :class:`repro.apps.campaign.AppShardJob` for
@@ -19,7 +21,8 @@ pool worker, and :class:`repro.runner.worker.ShardWorker`.
 Failure handling: a shard that raises in a worker is retried with
 exponential backoff; if the pool itself breaks (or retries are
 exhausted), the shard degrades to in-process execution instead of
-losing the run.  Hardened paths (see ``docs/robustness.md``): shard
+losing the run, and a lease worker that dies mid-shard has its lease
+stolen by another.  Hardened paths (see ``docs/robustness.md``): shard
 files carry SHA-256 checksums verified on resume (corrupt files are
 quarantined, never trusted), pool workers heartbeat so a hung or dead
 worker is detected, killed, and its shard requeued, writes are atomic,
@@ -432,11 +435,8 @@ class CampaignRunner:
         executor = resolve_executor(
             self.executor, jobs=self._effective_jobs, pending=len(pending)
         )
-        # One identity for this process's done records, lease claims,
-        # and trace lane, so `campaign top` sees one worker, not two.
+        # This process's identity in its done records and trace lane.
         self._worker_id = default_worker_id()
-        if executor.name == "work-stealing":
-            self._worker_id += "-coord"
 
         owned_hooks = []
         self._trace = None
@@ -738,8 +738,8 @@ class CampaignRunner:
                      shards_total: int, trials_total: int) -> None:
         """Load a shard completed by another worker process into this run.
 
-        The work-stealing coordinator trusts nothing it did not compute
-        itself: the shard file must pass
+        The work-stealing executor computes nothing itself and trusts no
+        worker's word: the shard file must pass
         :func:`repro.runner.verify.load_trusted_shard` against the
         completing worker's done-record checksum.  The manifest picks
         the shard up from that done record at the next fold.

@@ -3,8 +3,9 @@
 A :class:`ShardWorker` is one independent process cooperating on a
 submitted campaign through the shared run directory alone.  Its loop:
 
-1. read the manifest (identity, shard plan) and the completion records
-   under ``leases/``;
+1. read the manifest (identity, shard plan) and the completions: done
+   records under ``leases/`` whose shard file is on disk
+   (:func:`repro.runner.manifest.read_completions`);
 2. claim a still-pending shard via an atomic lease file
    (:func:`repro.runner.leases.try_claim`), stealing expired leases
    from dead workers;
@@ -42,7 +43,6 @@ from repro.runner.leases import (
     active_leases,
     cancel_requested,
     default_worker_id,
-    read_done_records,
     try_acquire_finalize,
     try_claim,
     write_done_record,
@@ -53,6 +53,7 @@ from repro.runner.manifest import (
     RunManifest,
     fold_run,
     persist_shard_file,
+    read_completions,
 )
 from repro.runner.observe import TraceSession, open_trace_session
 from repro.runner.runner import CampaignRunner, ShardSpec
@@ -104,7 +105,8 @@ class ShardWorker:
         children inherit the runner's plan across the fork).
     finalize:
         Fold + finalize when the run completes.  The in-run executor's
-        children pass False — their coordinator owns the manifest.
+        children pass False — the process that forked them owns the
+        manifest.
     hooks:
         Optional extra event consumers (beyond the events.jsonl append).
     telemetry:
@@ -266,7 +268,7 @@ class ShardWorker:
                 if cancel_requested(self.run_dir):
                     status = "cancelled"
                     break
-                done = read_done_records(self.run_dir)
+                done = read_completions(self.run_dir)
                 done_bits = already | set(done)
                 remaining = [b for b in sorted(manifest.shards)
                              if b not in done_bits]
@@ -290,7 +292,7 @@ class ShardWorker:
                                       lease_timeout=self.lease_timeout)
                     if lease is None:
                         continue
-                    if read_done_records(self.run_dir).get(bit) is not None:
+                    if bit in read_completions(self.run_dir):
                         lease.release()  # finished between our scan and claim
                         continue
                     progressed = True

@@ -84,8 +84,8 @@ def load_worker_snapshots(
 def load_run_snapshot(run_dir: str | os.PathLike) -> TelemetrySnapshot | None:
     """The run's merged snapshot, or None when never profiled.
 
-    Merges the coordinator's ``telemetry.json`` (serial/pool runs, and
-    the in-run work the coordinator did itself) with every per-worker
+    Merges the runner's ``telemetry.json`` (serial/pool runs, and the
+    adoption work of a work-stealing run) with every per-worker
     file under ``telemetry-workers/``.  Merging happens at read time —
     snapshot merge is associative, so the result is independent of how
     many workers the run was split across (the jobs=1 ≡ jobs=N

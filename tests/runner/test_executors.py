@@ -1,10 +1,20 @@
 """Tests for the pluggable executor layer (repro.runner.executors)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.datasets.registry import get as get_preset
 from repro.inject.campaign import CampaignConfig, run_campaign
-from repro.runner import RunManifest, RunnerError, verify_run
+from repro.runner import (
+    RunManifest,
+    RunnerError,
+    executors,
+    load_run_records,
+    resume_campaign,
+    verify_run,
+)
 from repro.runner.executors import (
     EXECUTOR_REGISTRY,
     Executor,
@@ -13,6 +23,7 @@ from repro.runner.executors import (
     WorkStealingExecutor,
     resolve_executor,
 )
+from tests.runner.test_runner import RecordingHooks
 
 EXECUTOR_NAMES = ("serial", "pool", "work-stealing")
 
@@ -34,7 +45,7 @@ class TestResolveExecutor:
         assert isinstance(executor, EXECUTOR_REGISTRY[name])
 
     def test_instance_passes_through(self):
-        instance = WorkStealingExecutor(workers=3)
+        instance = WorkStealingExecutor()
         assert resolve_executor(instance) is instance
 
     def test_unknown_name_rejected(self):
@@ -49,10 +60,6 @@ class TestResolveExecutor:
         assert set(EXECUTOR_REGISTRY) == set(EXECUTOR_NAMES)
         for cls in EXECUTOR_REGISTRY.values():
             assert issubclass(cls, Executor)
-
-    def test_work_stealing_rejects_bad_lease_timeout(self):
-        with pytest.raises(ValueError, match="positive"):
-            WorkStealingExecutor(lease_timeout=0)
 
 
 def _assert_results_identical(a, b) -> None:
@@ -97,8 +104,8 @@ class TestExecutorsBitIdentical:
     def test_executor_instance_accepted(self, small_field, tmp_path):
         config = CampaignConfig(trials_per_bit=3, bits=(0, 5, 15), seed=7)
         result = run_campaign(
-            small_field, "posit16", config, run_dir=tmp_path / "run",
-            executor=WorkStealingExecutor(workers=2, lease_timeout=10.0),
+            small_field, "posit16", config, jobs=2, run_dir=tmp_path / "run",
+            executor=WorkStealingExecutor(),
         )
         assert result.extras["executor"] == "work-stealing"
         assert result.trial_count == 9
@@ -120,6 +127,66 @@ class TestExecutorsBitIdentical:
                 CampaignConfig(trials_per_bit=2, bits=(0,), seed=7),
                 executor="quantum",
             )
+
+
+class TestWorkStealingOnlyAdopts:
+    """The calling process computes nothing: every shard is adopted."""
+
+    def test_result_equals_records_on_disk(self, tmp_path):
+        # Bits 23-30 of ieee32 hit the exponent, so faulty values carry
+        # NaN payloads that the shard CSV writes as a plain ``nan``.
+        data = get_preset("nyx/dark-matter-density").generate(seed=2023, size=1 << 10)
+        config = CampaignConfig(trials_per_bit=64, bits=tuple(range(23, 31)), seed=2023)
+        run_dir = tmp_path / "run"
+        hooks = RecordingHooks()
+        result = run_campaign(data, "ieee32", config, jobs=1, run_dir=run_dir,
+                              executor="work-stealing", hooks=hooks)
+        on_disk = load_run_records(run_dir)
+        for column in result.records.column_names():
+            lhs = getattr(result.records, column)
+            rhs = getattr(on_disk, column)
+            if lhs.dtype.kind == "f":
+                lhs, rhs = lhs.view(np.int64), rhs.view(np.int64)
+            assert np.array_equal(lhs, rhs), column
+        adopted = [e.bit for e in hooks.events if e.kind == "shard_adopted"]
+        assert sorted(adopted) == list(config.bits)
+        assert result.extras["shard_retries"] == 0
+
+    def test_all_children_exit_fails_resumably(self, small_field, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(executors, "_work_stealing_child",
+                            lambda *args: os._exit(1))
+        config = CampaignConfig(trials_per_bit=3, bits=(0, 1, 2), seed=7)
+        run_dir = tmp_path / "run"
+        with pytest.raises(RunnerError,
+                           match=r"bit\(s\) \[0, 1, 2\].*campaign resume"):
+            run_campaign(small_field, "posit16", config, jobs=2,
+                         run_dir=run_dir, executor="work-stealing")
+        monkeypatch.undo()
+        result = resume_campaign(run_dir, small_field)
+        assert result.trial_count == 9
+        assert verify_run(run_dir).ok
+
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_resume_recomputes_a_quarantined_shard(self, small_field, tmp_path,
+                                                   name):
+        # The quarantined shard's done record stays behind; without its
+        # file it must not count as done.
+        config = CampaignConfig(trials_per_bit=8, bits=tuple(range(8)), seed=42)
+        run_dir = tmp_path / "run"
+        clean = run_campaign(small_field, "posit16", config, run_dir=run_dir,
+                             executor="serial")
+        shard = RunManifest.shard_path(run_dir, 3)
+        raw = bytearray(shard.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        shard.write_bytes(bytes(raw))
+
+        result = run_campaign(small_field, "posit16", config, jobs=2,
+                              run_dir=run_dir, resume=True, executor=name)
+        assert result.extras["shards_quarantined"] == 1
+        assert result.extras["resumed_shards"] == 7
+        _assert_results_identical(result, clean)
+        assert not verify_run(run_dir).errors
 
 
 class TestManifestRecordsExecutor:

@@ -25,7 +25,7 @@ from repro.runner import (
     verify_run,
 )
 from repro.runner.leases import read_done_records, try_claim
-from repro.runner.manifest import RUN_COMPLETED, RUN_RUNNING
+from repro.runner.manifest import RUN_COMPLETED, RUN_RUNNING, load_folded
 from repro.runner.runner import CampaignRunner
 from repro.runner.worker import ShardWorker, fold_run
 
@@ -325,3 +325,24 @@ class TestFoldRun:
         folded = fold_run(run_dir)
         assert folded.pending_bits() == [0]
         assert folded.shards[1].status == "completed"
+
+    def test_worker_recomputes_shard_whose_file_is_gone(self, tmp_path):
+        run_dir = tmp_path / "run"
+        _submit(run_dir, bits=(0, 1, 2, 3))
+        run_worker(run_dir, worker_id="first", poll_interval=0.02)
+        # Bit 3's done record outlives its shard file (lost, or moved
+        # to quarantine): the record no longer vouches for the shard.
+        RunManifest.shard_path(run_dir, 3).unlink()
+        manifest = RunManifest.load(run_dir)
+        manifest.shards[3].status = "pending"
+        manifest.shards[3].checksum = None
+        manifest.status = RUN_RUNNING
+        manifest.write(run_dir)
+
+        again = run_worker(run_dir, worker_id="second", poll_interval=0.02)
+        assert again.status == "completed"
+        assert again.claims == 1
+        folded = load_folded(run_dir)
+        assert folded.status == RUN_COMPLETED
+        assert folded.pending_bits() == []
+        assert verify_run(run_dir).ok
