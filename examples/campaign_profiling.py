@@ -70,10 +70,6 @@ def main() -> int:
         print()
 
         print("== jobs=1 vs jobs=N: merged counters are scheduling-independent ==")
-        # The profiled run above built the composed field-layout tables in its
-        # pool workers only; build them here too, outside both measured
-        # runs, so only scheduling can differ between them.
-        run_campaign(data, target, config, jobs=1)
         serial = Telemetry()
         run_campaign(data, target, config, jobs=1, telemetry=serial)
         parallel = Telemetry()

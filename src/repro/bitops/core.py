@@ -71,6 +71,8 @@ def clz(bits, width: int) -> np.ndarray:
     if not 1 <= width <= 64:
         raise ValueError(f"width must be in [1, 64], got {width}")
     work = _as_uint64(bits)
+    if width <= 32:
+        return clz32(work & np.uint64((1 << width) - 1)) - (32 - width)
     if width < 64:
         work = work & np.uint64((1 << width) - 1)
     return clz64(work) - (64 - width)

@@ -1,6 +1,6 @@
 """Differential checks: every codec against an independent implementation.
 
-Three cross-checks, each a pure function from an
+Five cross-checks, each a pure function from an
 :class:`~repro.conformance.oracle.OracleContext` and a format to a
 :class:`~repro.conformance.report.CheckResult`:
 
@@ -10,10 +10,11 @@ Three cross-checks, each a pure function from an
 * ``backend-agreement`` — the LUT backend against the direct backend,
   exhaustively over the pattern space for every format narrow enough to
   tabulate;
-* ``composed-agreement`` — the composed-table backend (two 16-bit
-  gathers per 32-bit pattern) against the direct backend: exhaustive
-  for widths the oracle can exhaust, stratified-sampled plus
-  NaR/NaN/Inf/signed-zero corner patterns at 32 bits;
+* ``lean-agreement`` — the table-free posit codec (:mod:`repro.posit.lean`)
+  against :func:`repro.posit.fields.decompose`, on decode, classify and
+  regime, for each posit of at most 32 bits at every ``es`` in 0..4;
+  at ``full`` every pattern of the format goes through decode and
+  regime;
 * ``round-trip-agreement`` — posit ``round_trip``, which rounds in the
   float domain, against the value each lattice point and same-block
   midpoint must store as, derived from the patterns themselves, and
@@ -35,17 +36,18 @@ from repro.conformance.references import (
     value_sample,
 )
 from repro.conformance.report import CheckResult, FindingCollector
-from repro.formats import (
-    COMPOSED_MAX_BITS,
-    LUT_MAX_BITS,
-    NumberFormat,
-    PositTarget,
-    parse_spec,
-)
+from repro.formats import LUT_MAX_BITS, NumberFormat, PositTarget, parse_spec
+from repro.posit.config import PositConfig
+from repro.posit.decode import decode_fields
+from repro.posit.fields import classify_bit_from_fields, decompose
+from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 
-#: Positive patterns per chunk of the exhaustive ``round-trip-agreement``
-#: walk at ``full`` (~100 MB of working arrays).
+#: Patterns per chunk of the exhaustive ``round-trip-agreement`` and
+#: ``lean-agreement`` walks at ``full`` (~100 MB of working arrays).
 ROUND_TRIP_CHUNK = 1 << 20
+
+#: Exponent widths the lean codec is checked at, for each posit width.
+LEAN_CHECK_ES = (0, 1, 2, 3, 4)
 
 
 def check_reference_decode(ctx, fmt: NumberFormat) -> CheckResult:
@@ -154,98 +156,86 @@ def check_backend_agreement(ctx, fmt: NumberFormat) -> CheckResult:
     return collector.finish(checked)
 
 
-def _check_alternate_backend(ctx, fmt: NumberFormat, backend: str, check: str) -> CheckResult:
-    """An alternate backend vs direct, bit-exact on every codec operation.
+def _run_length_sample(config: PositConfig, per_length: int, rng) -> np.ndarray:
+    """Patterns with every regime run length, both polarities, both signs.
 
-    Pattern coverage is exhaustive when the oracle budget can exhaust
-    the width, otherwise a seeded stratified sample augmented with the
-    special-value corner patterns (NaR / NaN / +-Inf / signed zeros /
-    +-1) that the tables must not mishandle.
+    Classification depends on the run length and the bit alone, so this
+    sample reaches every field layout a width can have.
     """
-    collector = FindingCollector(check, fmt.name)
-    direct = parse_spec(fmt.name, "direct")
-    other = parse_spec(fmt.name, backend)
+    width = config.nbits - 1
+    body_mask = (1 << width) - 1
+    patterns = []
+    for length in range(width + 1):
+        terminator = 1 << length >> 1
+        tails = rng.integers(0, max(terminator, 1), size=per_length, dtype=np.uint64)
+        normalized = np.uint64(terminator) | tails if length else np.zeros(1, np.uint64)
+        for body in (normalized, normalized ^ np.uint64(body_mask)):
+            patterns += [body, body | np.uint64(1 << width)]
+    return np.unique(np.concatenate(patterns))
+
+
+def _compare_lean(collector, config: PositConfig, patterns, bits) -> int:
+    """Lean decode, regime and classify at ``bits`` vs the decomposition."""
+    label = f"posit{config.nbits}es{config.es}"
+    fields = decompose(patterns, config)
+    want = decode_fields(fields, config)
+    got = lean_decode(patterns, config)
+    for idx in np.flatnonzero(float_bits(got) != float_bits(want))[:8].tolist():
+        collector.error(
+            f"{label} lean decode of 0x{int(patterns[idx]):x} gives {got[idx]!r}, "
+            f"decompose gives {want[idx]!r}"
+        )
+    run = lean_regime(patterns, config)
+    for idx in np.flatnonzero(run != fields.run)[:4].tolist():
+        collector.error(
+            f"{label} lean regime of 0x{int(patterns[idx]):x} is {int(run[idx])}, "
+            f"decompose gives {int(fields.run[idx])}"
+        )
+    for bit in bits:
+        got_fields = lean_classify(patterns, bit, config)
+        want_fields = classify_bit_from_fields(fields, bit, config)
+        for idx in np.flatnonzero(got_fields != want_fields)[:4].tolist():
+            collector.error(
+                f"{label} lean classify of 0x{int(patterns[idx]):x} at bit {bit} is "
+                f"{int(got_fields[idx])}, decompose gives {int(want_fields[idx])}"
+            )
+    return patterns.size * (2 + len(bits))
+
+
+def check_lean_agreement(ctx, fmt: NumberFormat) -> CheckResult:
+    """The table-free posit codec against ``decompose``, bit for bit.
+
+    For a posit of at most 32 bits, the lean decode, regime run and
+    every bit's classification must equal the decomposition's at the
+    format's width and every ``es`` in :data:`LEAN_CHECK_ES`, on the
+    stratified pattern sample (exhaustive up to the budget's width) plus
+    a sample of every run length.  At ``full`` every pattern of the
+    format itself is also walked through decode and regime, in chunks
+    of :data:`ROUND_TRIP_CHUNK`; classification is a function of run
+    length and bit alone, so the run-length sample covers it.
+    """
+    collector = FindingCollector("lean-agreement", fmt.name)
+    if not isinstance(fmt, PositTarget) or fmt.nbits > LEAN_MAX_BITS:
+        result = collector.finish(0)
+        result.skipped = True
+        return result
+    rng = np.random.default_rng([ctx.seed, fmt.nbits])
     sampled = pattern_sample(
         fmt, ctx.budget.patterns, exhaustive_max_bits=ctx.budget.exhaustive_max_bits,
         seed=ctx.seed,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        corner_bits = np.asarray(
-            direct.to_bits(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0]))
-        ).astype(np.uint64)
-    patterns = np.unique(np.concatenate([sampled, corner_bits])).astype(fmt.dtype)
     checked = 0
-
-    direct_values = direct.from_bits(patterns)
-    other_values = other.from_bits(patterns)
-    mismatch = np.nonzero(float_bits(direct_values) != float_bits(other_values))[0]
-    checked += patterns.size
-    for idx in mismatch[:8].tolist():
-        collector.error(
-            f"{fmt.name} from_bits(0x{int(patterns[idx]):x}) differs: "
-            f"direct={direct_values[idx]!r} {backend}={other_values[idx]!r}"
-        )
-
-    values = value_sample(fmt, ctx.budget.values, seed=ctx.seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct_bits = np.asarray(direct.to_bits(values))
-        other_bits = np.asarray(other.to_bits(values))
-    mismatch = np.nonzero(direct_bits != other_bits)[0]
-    checked += values.size
-    for idx in mismatch[:8].tolist():
-        collector.error(
-            f"{fmt.name} to_bits({values[idx]!r}) differs: "
-            f"direct=0x{int(direct_bits[idx]):x} {backend}=0x{int(other_bits[idx]):x}"
-        )
-
-    bits_to_check = (
-        range(fmt.nbits)
-        if ctx.level == "full"
-        else sorted({0, 1, fmt.nbits // 2, fmt.nbits - 2, fmt.nbits - 1})
-    )
-    for bit in bits_to_check:
-        direct_fields = direct.classify_bits(patterns, bit)
-        other_fields = other.classify_bits(patterns, bit)
-        mismatch = np.nonzero(np.asarray(direct_fields) != np.asarray(other_fields))[0]
-        checked += patterns.size
-        for idx in mismatch[:4].tolist():
-            collector.error(
-                f"{fmt.name} classify_bits(0x{int(patterns[idx]):x}, bit={bit}) "
-                f"differs: direct={int(direct_fields[idx])} {backend}={int(other_fields[idx])}"
-            )
-    mismatch = np.nonzero(
-        np.asarray(direct.regime_sizes(patterns)) != np.asarray(other.regime_sizes(patterns))
-    )[0]
-    checked += patterns.size
-    for idx in mismatch[:4].tolist():
-        collector.error(
-            f"{fmt.name} regime_sizes(0x{int(patterns[idx]):x}) differs between backends"
-        )
-
-    # The batched surface: row-wise flip+decode must agree with the
-    # direct per-bit reference on the same rows.
-    bit_list = np.asarray(sorted(bits_to_check), dtype=np.int64)
-    rows = np.broadcast_to(patterns, (bit_list.size, patterns.size))
-    direct_flips = direct.decode_flips(rows, bit_list)
-    other_flips = other.decode_flips(rows, bit_list)
-    bad_rows, bad_cols = np.nonzero(float_bits(direct_flips) != float_bits(other_flips))
-    checked += rows.size
-    for row, col in list(zip(bad_rows.tolist(), bad_cols.tolist()))[:4]:
-        collector.error(
-            f"{fmt.name} decode_flips(0x{int(patterns[col]):x}, bit={int(bit_list[row])}) "
-            f"differs: direct={direct_flips[row, col]!r} {backend}={other_flips[row, col]!r}"
-        )
+    for es in LEAN_CHECK_ES:
+        config = PositConfig(fmt.nbits, es)
+        runs = _run_length_sample(config, ctx.budget.pairs // 8, rng)
+        patterns = np.unique(np.concatenate([sampled, runs]))
+        checked += _compare_lean(collector, config, patterns, range(fmt.nbits))
+    if ctx.level == "full" and fmt.nbits > ctx.budget.exhaustive_max_bits:
+        for start in range(0, 1 << fmt.nbits, ROUND_TRIP_CHUNK):
+            chunk = np.arange(start, min(start + ROUND_TRIP_CHUNK, 1 << fmt.nbits),
+                              dtype=np.uint64)
+            checked += _compare_lean(collector, fmt.config, chunk, ())
     return collector.finish(checked)
-
-
-def check_composed_agreement(ctx, fmt: NumberFormat) -> CheckResult:
-    """Composed-table and direct backends must be bit-identical."""
-    collector = FindingCollector("composed-agreement", fmt.name)
-    if fmt.nbits > COMPOSED_MAX_BITS:
-        result = collector.finish(0)
-        result.skipped = True
-        return result
-    return _check_alternate_backend(ctx, fmt, "composed", "composed-agreement")
 
 
 def _lattice_cases(decoder: NumberFormat, patterns: np.ndarray):
@@ -307,11 +297,8 @@ def check_round_trip_agreement(ctx, fmt: NumberFormat) -> CheckResult:
     def bit_path(values):
         return fmt.from_bits(fmt.to_bits(values))
 
-    exact_decode = fmt.nbits <= COMPOSED_MAX_BITS
+    exact_decode = fmt.nbits <= LEAN_MAX_BITS
     exhaustive = ctx.level == "full" and exact_decode
-    # The exhaustive walk decodes through the composed tables (gated
-    # bit-exact by composed-agreement); a sample needs no table build.
-    decoder = parse_spec(fmt.name, "composed") if exhaustive else fmt
     top = (1 << (fmt.nbits - 1)) - 1  # maxpos pattern
     # The stratified sample, folded onto the positive half, plus the
     # longest regimes at both ends, where exponent bits are truncated.
@@ -322,7 +309,7 @@ def check_round_trip_agreement(ctx, fmt: NumberFormat) -> CheckResult:
     ends = np.arange(ctx.budget.pairs, dtype=np.uint64)
     sampled = np.concatenate([sampled, ends + np.uint64(1), np.uint64(top - 1) - ends])
     sampled = np.unique(sampled[(sampled >= 1) & (sampled < top)])
-    inputs, expected, crossing = _lattice_cases(decoder, sampled)
+    inputs, expected, crossing = _lattice_cases(fmt, sampled)
     checked = 0
     if exact_decode:
         checked += _compare_round_trip(collector, fmt, inputs, expected, "its pattern")
@@ -346,7 +333,7 @@ def check_round_trip_agreement(ctx, fmt: NumberFormat) -> CheckResult:
     if exhaustive:
         for start in range(1, top, ROUND_TRIP_CHUNK):
             chunk = np.arange(start, min(start + ROUND_TRIP_CHUNK, top), dtype=np.uint64)
-            inputs, expected, crossing = _lattice_cases(decoder, chunk)
+            inputs, expected, crossing = _lattice_cases(fmt, chunk)
             checked += _compare_round_trip(collector, fmt, inputs, expected, "its pattern")
             checked += _compare_round_trip(
                 collector, fmt, crossing, bit_path(crossing), "bit path"

@@ -45,7 +45,7 @@ FORMAT_CHECKS = (
     differential.check_reference_decode,
     differential.check_reference_encode,
     differential.check_backend_agreement,
-    differential.check_composed_agreement,
+    differential.check_lean_agreement,
     differential.check_round_trip_agreement,
     invariants.check_idempotence,
     invariants.check_rne_ties,

@@ -11,8 +11,8 @@ policy decides (``lut`` up to 16 bits, ``direct`` beyond).
 'ieee32'
 >>> resolve("fixedposit(16,es=2,r=3)").backend_name
 'lut'
->>> resolve("posit32", backend="composed").backend_name
-'composed'
+>>> resolve("posit32").backend_name
+'direct'
 """
 
 from repro.formats.backends import (
@@ -25,7 +25,6 @@ from repro.formats.backends import (
     resolve_backend_name,
 )
 from repro.formats.base import NumberFormat
-from repro.formats.composed import COMPOSED_MAX_BITS, ComposedLUTBackend
 from repro.formats.fixedposit import FixedPositConfig, FixedPositTarget
 from repro.formats.ieee import IEEETarget
 from repro.formats.posit import PositTarget
@@ -40,9 +39,7 @@ from repro.formats.registry import (
 from repro.formats.spec import FormatSpecError, canonical_spec, normalize_spec, parse_spec
 
 __all__ = [
-    "COMPOSED_MAX_BITS",
     "CodecBackend",
-    "ComposedLUTBackend",
     "DEFAULT_FORMATS",
     "DirectBackend",
     "FixedPositConfig",

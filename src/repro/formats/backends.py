@@ -1,10 +1,11 @@
 """Pluggable codec backends for :class:`~repro.formats.base.NumberFormat`.
 
-Three backends serve the protocol's hot operations:
+Two backends serve the protocol's hot operations:
 
 ``direct``
     Calls the format's raw vectorized encode/decode/classify on every
-    request.  Always available, any width.
+    request.  Always available, any width.  Posits of up to 32 bits
+    decode without tables here (:mod:`repro.posit.lean`).
 
 ``lut``
     For formats of at most 16 bits, every operation that maps *patterns*
@@ -14,11 +15,6 @@ Three backends serve the protocol's hot operations:
     index per-bit field tables.  The exhaustive equivalence tests assert
     bit-identity with ``direct`` over every pattern, not approximate
     agreement.
-
-``composed``
-    Table decoding for widths up to 32 bits by composing two 16-bit
-    gathers, with per-row bit-exactness proved at build time (see
-    :mod:`repro.formats.composed`).
 
 Every backend encodes with the format's own ``encode_raw``
 (:meth:`CodecBackend.to_bits`): a campaign encodes its field once, so
@@ -33,8 +29,8 @@ Selection is automatic — ``lut`` whenever the width permits, ``direct``
 beyond — or explicit per instance via
 ``repro.formats.resolve(spec, backend=...)``.  The campaign pipeline
 (:class:`repro.inject.trial.FieldPipeline`) picks its own backend per
-field, and the conformance agreement checks pick each table backend to
-compare against ``direct``.
+field, and the conformance ``backend-agreement`` check compares ``lut``
+against ``direct``.
 
 Every backend also derives the fault decodes the campaign pipeline
 (:class:`repro.inject.trial.FieldPipeline`) calls on its stored patterns:
@@ -58,7 +54,7 @@ from repro.telemetry import get_telemetry
 #: Widest format the LUT backend will tabulate (2**16 entries).
 LUT_MAX_BITS = 16
 
-_BACKEND_CHOICES = ("auto", "direct", "lut", "composed")
+_BACKEND_CHOICES = ("auto", "direct", "lut")
 
 
 def flip_patterns(bits, bit_indices, dtype) -> np.ndarray:
@@ -85,6 +81,11 @@ def resolve_backend_name(fmt, requested: str | None) -> str:
     :func:`make_backend` builds it.
     """
     choice = "auto" if requested is None else requested.strip().lower()
+    if choice == "composed":
+        raise ValueError(
+            "format backend 'composed' was removed: posits up to 32 bits decode "
+            "without tables, so request backend='direct'"
+        )
     if choice not in _BACKEND_CHOICES:
         raise ValueError(
             f"unknown format backend {choice!r}; choose from {', '.join(_BACKEND_CHOICES)}"
@@ -99,10 +100,6 @@ def make_backend(fmt, requested: str | None = None):
     name = resolve_backend_name(fmt, requested)
     if name == "lut":
         return LUTBackend(fmt)
-    if name == "composed":
-        from repro.formats.composed import ComposedLUTBackend
-
-        return ComposedLUTBackend(fmt)
     return DirectBackend(fmt)
 
 

@@ -74,14 +74,6 @@ class NumberFormat(abc.ABC):
         """Regime size k per element; zeros for systems without a regime."""
         return np.zeros(np.shape(np.asarray(bits)), dtype=np.int64)
 
-    def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
-        """Field ids of the *same* patterns at many bits: ``(B, *shape)``."""
-        array = np.asarray(bits)
-        out = np.empty((len(bit_indices),) + array.shape, dtype=np.int64)
-        for i, bit in enumerate(np.asarray(bit_indices).tolist()):
-            out[i] = self.classify_raw(array, int(bit))
-        return out
-
     @abc.abstractmethod
     def field_label(self, field_id: int) -> str:
         """Human-readable name of a field id."""

@@ -55,18 +55,6 @@ class IEEETarget(NumberFormat):
         field = field_of_bit(bit_index, self.format)
         return np.full(np.shape(np.asarray(bits)), int(field), dtype=np.int64)
 
-    def _field_constants(self, bit_indices) -> np.ndarray:
-        return np.array(
-            [int(field_of_bit(int(b), self.format)) for b in np.asarray(bit_indices)],
-            dtype=np.int64,
-        )
-
-    def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
-        shape = np.shape(np.asarray(bits))
-        constants = self._field_constants(bit_indices)
-        column = constants.reshape((-1,) + (1,) * len(shape))
-        return np.broadcast_to(column, (constants.size,) + shape).copy()
-
     def field_label(self, field_id: int) -> str:
         return IEEEField(field_id).name
 

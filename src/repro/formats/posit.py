@@ -11,10 +11,10 @@ from repro.posit.encode import encode as posit_encode
 from repro.posit.fields import (
     PositField,
     classify_bit as posit_classify_bit,
-    classify_bits_array,
     decompose,
     layout_string as posit_layout_string,
 )
+from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 from repro.posit.rounding import round_to_posit
 
 
@@ -24,7 +24,12 @@ def posit_spec_name(config: PositConfig) -> str:
 
 
 class PositTarget(NumberFormat):
-    """Posit storage (float -> posit on store, posit -> float on load)."""
+    """Posit storage (float -> posit on store, posit -> float on load).
+
+    Posits of up to 32 bits decode, classify and report regimes through
+    the table-free run-length codec of :mod:`repro.posit.lean`; wider
+    posits go through :func:`repro.posit.fields.decompose`.
+    """
 
     def __init__(self, config: PositConfig, backend: str | None = None) -> None:
         self.config = config
@@ -39,7 +44,13 @@ class PositTarget(NumberFormat):
     def encode_raw(self, values) -> np.ndarray:
         return posit_encode(np.asarray(values, dtype=np.float64), self.config)
 
+    @property
+    def _lean(self) -> bool:
+        return self.nbits <= LEAN_MAX_BITS
+
     def decode_raw(self, bits) -> np.ndarray:
+        if self._lean:
+            return lean_decode(bits, self.config)
         return np.asarray(posit_decode(bits, self.config), dtype=np.float64)
 
     def round_trip_raw(self, values) -> np.ndarray:
@@ -50,16 +61,13 @@ class PositTarget(NumberFormat):
         return round_to_posit(array, self.config)
 
     def classify_raw(self, bits, bit_index: int) -> np.ndarray:
+        if self._lean:
+            return lean_classify(bits, bit_index, self.config)
         return posit_classify_bit(bits, bit_index, self.config)
 
-    def classify_many_raw(self, bits, bit_indices) -> np.ndarray:
-        fields = decompose(bits, self.config)
-        column = np.asarray(bit_indices, dtype=np.int64).reshape(
-            (-1,) + (1,) * np.ndim(np.asarray(bits))
-        )
-        return classify_bits_array(fields, column, self.config)
-
     def regime_raw(self, bits) -> np.ndarray:
+        if self._lean:
+            return lean_regime(bits, self.config)
         return decompose(bits, self.config).run
 
     def field_label(self, field_id: int) -> str:

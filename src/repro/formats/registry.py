@@ -100,10 +100,12 @@ def resolve(spec: str | NumberFormat, *, backend: str | None = None) -> NumberFo
     grammar string (``posit32``, ``binary(8,23)``,
     ``fixedposit(16,es=2,r=3)``), or an existing instance (returned
     untouched).  ``backend`` picks the codec explicitly
-    (``direct``/``lut``/``composed``); when omitted, the automatic
-    policy applies (LUT tables for formats narrow enough to tabulate,
-    direct codec otherwise), see
-    :func:`repro.formats.backends.resolve_backend_name`.
+    (``direct``/``lut``); when omitted, the automatic policy applies
+    (LUT tables for formats narrow enough to tabulate, direct codec
+    otherwise), see :func:`repro.formats.backends.resolve_backend_name`.
+    The removed ``composed`` backend raises a :class:`ValueError` that
+    names ``direct``, which now decodes posits up to 32 bits without
+    tables.
 
     Instances are cached per ``(canonical name, backend)``, so repeated
     lookups share codec tables.  Raises

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.inject.faults import FaultModel, SingleBitFlip
 from repro.inject.results import TrialRecords
-from repro.formats import COMPOSED_MAX_BITS, LUT_MAX_BITS, IEEETarget, NumberFormat, resolve
+from repro.formats import LUT_MAX_BITS, IEEETarget, NumberFormat, resolve
 from repro.ieee import is_hardware_layout
 from repro.metrics.fast import FaultMetrics, vectorized_single_fault
 from repro.metrics.pointwise import scalar_relative_error
@@ -88,21 +88,16 @@ def _pipeline_format(target: NumberFormat) -> NumberFormat:
 
     Tables pay off only where decoding is software arithmetic: posits,
     fixed-posits and software ``binary(e,f)`` layouts get ``lut`` tables
-    up to 16 bits and ``composed`` tables up to 32, amortized over every
-    bit of the field.  Layouts that hardware converts by a cast or a
-    shift (:func:`repro.ieee.is_hardware_layout`), and anything wider
-    than 32 bits, decode with ``direct``.  Instances come from the
-    registry so tables are shared across pipelines; a format that cannot
-    rehydrate from its name serves as it is.
+    up to 16 bits, amortized over every bit of the field.  Everything
+    else decodes with ``direct``: layouts that hardware converts by a
+    cast or a shift (:func:`repro.ieee.is_hardware_layout`), posits up
+    to 32 bits through the table-free run-length codec
+    (:mod:`repro.posit.lean`), and every wider format.  Instances come
+    from the registry so tables are shared across pipelines; a format
+    that cannot rehydrate from its name serves as it is.
     """
-    if isinstance(target, IEEETarget) and is_hardware_layout(target.format):
-        name = "direct"
-    elif target.nbits <= LUT_MAX_BITS:
-        name = "lut"
-    elif target.nbits <= COMPOSED_MAX_BITS:
-        name = "composed"
-    else:
-        name = "direct"
+    hardware = isinstance(target, IEEETarget) and is_hardware_layout(target.format)
+    name = "lut" if target.nbits <= LUT_MAX_BITS and not hardware else "direct"
     if target.backend_name == name:
         return target
     try:

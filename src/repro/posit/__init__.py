@@ -4,7 +4,9 @@ This package replaces the paper's SoftPosit dependency.  It provides
 bit-exact float <-> posit conversion with round-to-nearest-even, per-value
 field decomposition (sign / regime / R_k / exponent / fraction — the
 vocabulary of the paper's analysis), correctly rounded arithmetic, and an
-exact quire accumulator, for any width from 3 to 64 bits.
+exact quire accumulator, for any width from 3 to 64 bits.  Posits of up
+to 32 bits also decode and classify through a table-free run-length codec
+(:mod:`repro.posit.lean`), checked bit for bit against ``decompose``.
 """
 
 from repro.posit._reference import (
@@ -47,6 +49,7 @@ from repro.posit.fields import (
     layout_string,
     regime_k,
 )
+from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 from repro.posit.quire import Quire, dot, total
 from repro.posit.special import is_nar, is_negative, is_zero, maxpos, minpos, nar, zero
 from repro.posit.tables import lattice_neighbors, positive_values_sorted, value_table
@@ -55,6 +58,7 @@ from repro.posit.ulp import next_down, next_up, relative_spacing_at, spacing_at,
 __all__ = [
     "COARSE_FIELD_OF",
     "FieldDecomposition",
+    "LEAN_MAX_BITS",
     "POSIT16",
     "POSIT32",
     "POSIT64",
@@ -88,6 +92,9 @@ __all__ = [
     "is_zero",
     "lattice_neighbors",
     "layout_string",
+    "lean_classify",
+    "lean_decode",
+    "lean_regime",
     "maxpos",
     "minpos",
     "multiply",

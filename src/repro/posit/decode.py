@@ -31,9 +31,14 @@ def decode(bits, config: PositConfig) -> np.ndarray:
     """Decode posit bit patterns to float64 (NaR → NaN, zero → 0.0)."""
     work = np.asarray(bits)
     scalar_input = work.ndim == 0
-    work = np.atleast_1d(work)
-    fields = decompose(work, config)
+    values = decode_fields(decompose(np.atleast_1d(work), config), config)
+    if scalar_input:
+        return values[0]
+    return values
 
+
+def decode_fields(fields: FieldDecomposition, config: PositConfig) -> np.ndarray:
+    """The float64 values of already decomposed posits (see :func:`decode`)."""
     s = fields.sign
     m = fields.fraction_bits
     # Fold the mantissa into a single integer so the one uint64 ->
@@ -50,10 +55,7 @@ def decode(bits, config: PositConfig) -> np.ndarray:
 
     values = sign_factor * np.ldexp(combined.astype(np.float64), scale - m)
     values = np.where(fields.is_zero, 0.0, values)
-    values = np.where(fields.is_nar, np.nan, values)
-    if scalar_input:
-        return values[0]
-    return values
+    return np.where(fields.is_nar, np.nan, values)
 
 
 def decode32(bits) -> np.ndarray:

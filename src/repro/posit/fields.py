@@ -181,32 +181,6 @@ def classify_bit_from_fields(
     return out
 
 
-def classify_bits_array(
-    fields: FieldDecomposition, bit_indices, config: PositConfig
-) -> np.ndarray:
-    """Vectorized :func:`classify_bit_from_fields` over a *bit array*.
-
-    ``bit_indices`` is any int array broadcastable against the
-    decomposition's element shape — e.g. a ``(B, 1)`` column against a
-    ``(B, T)`` block classifies row ``i`` at bit ``b[i]`` in one pass.
-    """
-    n = config.nbits
-    bit = np.asarray(bit_indices, dtype=np.int64)
-    regime_low = n - 1 - fields.regime_len
-    exp_low = regime_low - fields.exponent_bits_present
-
-    in_regime = bit >= regime_low
-    is_terminator = fields.has_terminator & (bit == regime_low)
-    in_exponent = (~in_regime) & (bit >= exp_low)
-
-    out = np.full(in_regime.shape, int(PositField.FRACTION), dtype=np.int64)
-    out = np.where(in_regime, int(PositField.REGIME), out)
-    out = np.where(is_terminator, int(PositField.REGIME_TERM), out)
-    out = np.where(in_exponent, int(PositField.EXPONENT), out)
-    out = np.where(bit == n - 1, int(PositField.SIGN), out)
-    return out
-
-
 def classify_all_bits(bits, config: PositConfig) -> np.ndarray:
     """Field map of every bit of every posit: shape (*bits.shape, nbits).
 

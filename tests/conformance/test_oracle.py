@@ -63,6 +63,39 @@ class TestPerturbationDetection:
             for f in report.errors
         ), report.render()
 
+    def test_lean_classify_off_at_one_long_run_is_caught(self, monkeypatch):
+        """Runs of 29 bits fall outside the leading-byte strata; the
+        run-length sample still reaches them."""
+        from repro.conformance import differential
+        from repro.formats import resolve
+        from repro.posit.lean import run_bit_length
+
+        true_classify = differential.lean_classify
+
+        def off_at_run_29(bits, bit_index, config):
+            fields = true_classify(bits, bit_index, config)
+            return np.where(run_bit_length(bits, config) == 2, 0, fields)
+
+        monkeypatch.setattr(differential, "lean_classify", off_at_run_29)
+        result = differential.check_lean_agreement(_ctx(), resolve("posit32"))
+        assert not result.skipped
+        assert any("lean classify" in f.message for f in result.findings), result.findings
+
+    def test_lean_decode_perturbation_is_caught(self, monkeypatch):
+        from repro.conformance import differential
+        from repro.formats import resolve
+
+        true_decode = differential.lean_decode
+
+        def skewed(bits, config):
+            values = true_decode(bits, config)
+            return np.where(values < -1.0, np.nextafter(values, 0.0), values)
+
+        monkeypatch.setattr(differential, "lean_decode", skewed)
+        result = differential.check_lean_agreement(_ctx(), resolve("posit16"))
+        assert any("lean decode" in f.message for f in result.findings), result.findings
+        assert differential.check_lean_agreement(_ctx(), resolve("ieee32")).skipped
+
     def test_perturbed_fast_metric_is_caught(self, golden_dir, monkeypatch):
         """Nudging a metric constant must fail the differential check."""
         from repro.metrics import fast

@@ -12,7 +12,6 @@ import pytest
 
 from repro.formats import (
     LUT_MAX_BITS,
-    ComposedLUTBackend,
     DirectBackend,
     LUTBackend,
     available_formats,
@@ -100,7 +99,7 @@ class TestLUTShapeHandling:
 
 class TestOneEncoder:
     def test_to_bits_has_one_implementation(self):
-        for backend in (DirectBackend, LUTBackend, ComposedLUTBackend):
+        for backend in (DirectBackend, LUTBackend):
             assert "to_bits" not in vars(backend), backend.backend_name
 
     def test_lut_encode_builds_no_table(self, rng):

@@ -77,8 +77,8 @@ class TestBatchBackendPolicy:
         assert self._backend("posit16") == "lut"
         assert self._backend("posit8") == "lut"
         assert self._backend("binary(6,9)") == "lut"
-        assert self._backend("posit32") == "composed"
-        assert self._backend("binary(8,16)") == "composed"
+        assert self._backend("posit32") == "direct"
+        assert self._backend("binary(8,16)") == "direct"
         assert self._backend("posit64") == "direct"
 
     @pytest.mark.parametrize("name", ["ieee16", "bfloat16", "ieee32", "ieee64"])
@@ -86,6 +86,4 @@ class TestBatchBackendPolicy:
         assert self._backend(name) == "direct"
 
     def test_batch_instances_share_registry_cache(self):
-        assert resolve("posit32", backend="composed") is resolve(
-            "posit32", backend="composed"
-        )
+        assert resolve("posit16", backend="lut") is resolve("posit16", backend="lut")

@@ -96,7 +96,12 @@ class TestResolveEntryPoint:
 
     def test_resolve_picks_backend(self):
         assert resolve("posit16", backend="direct").backend_name == "direct"
-        assert resolve("posit32", backend="composed").backend_name == "composed"
+        assert resolve("posit16", backend="lut").backend_name == "lut"
+        assert resolve("posit32", backend="direct").backend_name == "direct"
+
+    def test_composed_backend_names_direct(self):
+        with pytest.raises(ValueError, match=r"'composed' was removed.*backend='direct'"):
+            resolve("posit32", backend="composed")
 
     def test_spec_parsed_targets_work_end_to_end(self):
         values = np.array([1.5, -200.0, 0.0, 3.0e-4])

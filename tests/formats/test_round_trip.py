@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.formats import COMPOSED_MAX_BITS, LUT_MAX_BITS, PositTarget, get_format, resolve
+from repro.formats import LUT_MAX_BITS, PositTarget, get_format, resolve
 from repro.formats.base import NumberFormat
 from repro.telemetry import Telemetry, telemetry_scope
 
@@ -113,8 +113,6 @@ def _backends(spec: str) -> list[str]:
     names = ["direct"]
     if nbits <= LUT_MAX_BITS:
         names.append("lut")
-    if nbits <= COMPOSED_MAX_BITS:
-        names.append("composed")
     return names
 
 

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.formats import ComposedLUTBackend, available_formats, resolve
+from repro.formats import available_formats, resolve
 from repro.inject import (
     CampaignConfig,
     FieldPipeline,
@@ -66,24 +66,18 @@ class TestStoreOnce:
         assert counters["formats.decode.values"] == field.size + result.trial_count
 
 
-class TestTablesWhereDecodingIsSoftware:
-    """A hardware-converted layout decodes its campaign by cast; a posit
-    decodes it through tables."""
+class TestPosit32DecodesWithoutTables:
+    """A posit32 campaign decodes its field through the format's own
+    table-free codec: the pipeline is ``direct`` and builds no table."""
 
-    @pytest.mark.parametrize("name, tabled", [("ieee32", False), ("posit32", True)])
-    def test_composed_tables_serve_posit32_only(self, name, tabled, field, monkeypatch):
-        calls = set()
-        for method in ("from_bits", "classify_bits"):
-            original = getattr(ComposedLUTBackend, method)
-
-            def spy(self, *args, _original=original, _method=method):
-                calls.add(_method)
-                return _original(self, *args)
-
-            monkeypatch.setattr(ComposedLUTBackend, method, spy)
+    def test_pipeline_is_direct_without_tables(self, field):
+        assert FieldPipeline(resolve("posit32"), field).target.backend_name == "direct"
         config = CampaignConfig(trials_per_bit=5, bits=(0, 9, 31), seed=7)
-        run_campaign(field, name, config, jobs=1)
-        assert calls == ({"from_bits", "classify_bits"} if tabled else set())
+        collector = Telemetry()
+        run_campaign(field, "posit32", config, jobs=1, telemetry=collector)
+        counters = collector.snapshot().counters
+        assert counters["inject.trials"] == 15
+        assert not [name for name in counters if "tables_built" in name]
 
 
 class TestPipelineOwnership:
