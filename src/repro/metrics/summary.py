@@ -36,6 +36,11 @@ class SummaryStats:
     #: single-element array these are -inf / +inf.
     maximum2: float = float("-inf")
     minimum2: float = float("inf")
+    #: Sum of deviations from :attr:`center`.  ``center`` is the rounded
+    #: mean, so this residual is tiny but not zero; carrying it keeps the
+    #: mean shift of a replacement at the scale of the deviations instead
+    #: of the rounding of :attr:`total`.
+    centered_sum: float = 0.0
 
     @classmethod
     def from_array(cls, values) -> "SummaryStats":
@@ -45,6 +50,7 @@ class SummaryStats:
         total = float(np.sum(array))
         center = total / array.size
         deviations = array - center
+        centered_sum = float(np.sum(deviations))
         with np.errstate(over="ignore"):
             centered_sq = float(np.sum(deviations * deviations))
         if array.size >= 2:
@@ -65,6 +71,7 @@ class SummaryStats:
             center=center,
             maximum2=maximum2,
             minimum2=minimum2,
+            centered_sum=centered_sum,
         )
 
     @property
@@ -92,7 +99,11 @@ class SummaryStats:
         old_dev = old_value - self.center
         new_dev = new_value - self.center
         new_centered_sq = self.centered_sq - old_dev * old_dev + new_dev * new_dev
-        mean_shift = mean - self.center
+        # The shift is taken from deviations, not from ``mean - center``:
+        # both of those carry rounding of order eps * |mean|, which the
+        # squared shift would carry into a small variance.
+        new_centered_sum = self.centered_sum - old_dev + new_dev
+        mean_shift = new_centered_sum / self.count
         variance = max(new_centered_sq / self.count - mean_shift * mean_shift, 0.0)
         # Exact extremes: if the replaced element was (an instance of)
         # the extremum, the survivor extremum is the second order
@@ -113,6 +124,7 @@ class SummaryStats:
             center=self.center,
             maximum2=self.maximum2,
             minimum2=self.minimum2,
+            centered_sum=new_centered_sum,
         )
 
     def as_row(self) -> dict[str, float]:
