@@ -359,9 +359,6 @@ class AppTrialRecords(ColumnarRecords):
     def for_bit(self, bit: int) -> "AppTrialRecords":
         return self.select(self.bit == bit)
 
-    def for_cell(self, cell: int) -> "AppTrialRecords":
-        return self.select(self.cell == cell)
-
 
 # ---------------------------------------------------------------------------
 # Solving and injecting

@@ -68,10 +68,6 @@ class SolveResult:
     converged: bool = False
     diverged: bool = False
 
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else float("inf")
-
     def error_vs(self, reference: np.ndarray) -> float:
         """Relative L2 error against a reference solution."""
         diff = self.solution - reference
@@ -83,7 +79,8 @@ class SolveResult:
 
 def _jacobi_sweep(state: np.ndarray, rhs_h2: np.ndarray) -> np.ndarray:
     """One Jacobi update with zero Dirichlet boundaries."""
-    padded = np.pad(state, 1)
+    padded = np.zeros((state.shape[0] + 2, state.shape[1] + 2), dtype=state.dtype)
+    padded[1:-1, 1:-1] = state
     neighbors = (
         padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
     )

@@ -162,17 +162,11 @@ def run_conformance(
     return runner.report
 
 
-def checked_result_count(report: ConformanceReport) -> int:
-    """Convenience for callers that only want the activity number."""
-    return sum(1 for result in report.results if not result.skipped)
-
-
 __all__ = [
     "DEFAULT_CHECK_FORMATS",
     "FORMAT_CHECKS",
     "GLOBAL_CHECKS",
     "OracleContext",
     "run_conformance",
-    "checked_result_count",
     "CheckResult",
 ]

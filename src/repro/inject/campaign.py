@@ -74,10 +74,6 @@ class CampaignConfig:
             raise ValueError(f"trials_per_bit must be positive, got {self.trials_per_bit}")
         object.__setattr__(self, "fault", canonical_fault_spec(self.fault))
 
-    def resolved_fault(self):
-        """The parsed :class:`~repro.inject.faultspec.ResolvedFault`."""
-        return resolve_fault(self.fault)
-
     def resolved_bits(self, target: NumberFormat) -> tuple[int, ...]:
         """The concrete bit list for a target."""
         if self.bits is None:

@@ -166,11 +166,6 @@ class TelemetrySnapshot:
     def empty(self) -> bool:
         return not self.counters and not self.spans
 
-    def span_total_seconds(self, name: str) -> float:
-        """Total seconds spent in a span (0.0 when never entered)."""
-        stats = self.spans.get(name)
-        return stats.total_seconds if stats else 0.0
-
     def phase_seconds(self) -> dict[str, float]:
         """Exclusive seconds grouped by the first dotted name component.
 

@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.formats import LUT_MAX_BITS, PositTarget, get_format, resolve
-from repro.formats.base import NumberFormat
+from repro.formats import (
+    LUT_MAX_BITS,
+    FixedPositTarget,
+    IEEETarget,
+    PositTarget,
+    get_format,
+    resolve,
+)
+from repro.formats.base import CHUNK, NumberFormat
 from repro.telemetry import Telemetry, telemetry_scope
 
 #: Narrow posits checked exhaustively: the standard posit8/posit16 and
@@ -44,13 +51,18 @@ def assert_identical(got, expected, context) -> None:
     )
 
 
-def range_edges(fmt: PositTarget) -> np.ndarray:
-    """minpos/maxpos, their float64 neighbours, and their negations."""
-    edges = np.array([fmt.config.minpos, fmt.config.maxpos])
+def around_edges(edges) -> np.ndarray:
+    """``edges``, their float64 neighbours, and their negations."""
+    edges = np.asarray(edges, dtype=np.float64)
     around = np.concatenate([
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
     ])
     return np.concatenate([around, -around])
+
+
+def range_edges(fmt: PositTarget) -> np.ndarray:
+    """minpos/maxpos, their float64 neighbours, and their negations."""
+    return around_edges([fmt.config.minpos, fmt.config.maxpos])
 
 
 class TestExhaustiveNarrow:
@@ -159,3 +171,71 @@ class TestSiteRule:
         with telemetry_scope(Telemetry()) as collector:
             resolve("posit32").round_trip(np.linspace(-1.0, 1.0, 100))
         assert collector.snapshot().spans["formats.round_trip"].count == 1
+
+
+#: One of each format family: standard posits, IEEE layouts (hardware and
+#: software), a ``binary(e,f)`` layout and a fixed-posit.
+CHUNK_SPECS = [
+    "posit8", "posit16", "posit32", "posit64", "ieee16", "ieee32", "ieee64",
+    "bfloat16", "binary(6,9)", "fixedposit(16,es=2,r=3)",
+]
+CHUNK_CASES = [(spec, backend) for spec in CHUNK_SPECS for backend in _backends(spec)]
+CHUNK_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def _edge_values(fmt: NumberFormat) -> np.ndarray:
+    """Specials, subnormals, and the format's range ends with their neighbours."""
+    if isinstance(fmt, PositTarget):
+        return np.concatenate([np.array(SPECIAL_INPUTS), range_edges(fmt)])
+    if isinstance(fmt, IEEETarget):
+        layout = fmt.format
+        ends = [layout.min_subnormal, layout.min_normal, layout.max_finite]
+    else:
+        assert isinstance(fmt, FixedPositTarget)
+        patterns = np.array([fmt._minpos_pattern, fmt._maxpos_pattern], dtype=fmt.dtype)
+        ends = fmt.from_bits(patterns)
+    return np.concatenate([np.array(SPECIAL_INPUTS), around_edges(ends)])
+
+
+def _at_chunk_boundaries(base: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``base`` with ``edges`` written on both sides of every chunk boundary."""
+    out = base.copy()
+    for boundary in [*range(0, out.size, CHUNK), out.size]:
+        before = max(boundary - edges.size, 0)
+        out[before:boundary] = edges[:boundary - before]
+        after = min(boundary + edges.size, out.size)
+        out[boundary:after] = edges[:after - boundary]
+    return out
+
+
+class TestChunkedPasses:
+    """Field-sized ``to_bits``/``from_bits`` run in ``CHUNK``-value slices
+    and still equal one whole-array backend call bit for bit."""
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("spec,backend", CHUNK_CASES)
+    def test_matches_whole_array_backend(self, spec, backend, size, rng):
+        fmt = get_format(spec, backend=backend)
+        magnitudes = rng.standard_normal(size) * np.exp2(rng.integers(-140, 141, size))
+        values = _at_chunk_boundaries(magnitudes, _edge_values(fmt))
+        bits = fmt.to_bits(values)
+        expected_bits = fmt._backend.to_bits(values)
+        assert bits.dtype == expected_bits.dtype
+        assert np.array_equal(bits, expected_bits), spec
+
+        random_patterns = rng.integers(0, 1 << fmt.nbits, size, dtype=np.uint64)
+        patterns = _at_chunk_boundaries(random_patterns.astype(fmt.dtype), bits[:64])
+        assert_identical(
+            fmt.from_bits(patterns), fmt._backend.from_bits(patterns), f"{spec}/{backend}"
+        )
+
+    def test_one_span_and_whole_count_per_call(self):
+        fmt = resolve("posit32")
+        size = 3 * CHUNK + 7
+        with telemetry_scope(Telemetry()) as collector:
+            bits = fmt.to_bits(np.linspace(-1e3, 1e3, size))
+            fmt.from_bits(bits)
+        snapshot = collector.snapshot()
+        for direction in ("encode", "decode"):
+            assert snapshot.spans[f"formats.{direction}"].count == 1
+            assert snapshot.counters[f"formats.{direction}.values"] == size

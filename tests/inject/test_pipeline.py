@@ -7,6 +7,7 @@ raw field bit for bit, since the shard bytes depend on them.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -78,6 +79,23 @@ class TestPosit32DecodesWithoutTables:
         counters = collector.snapshot().counters
         assert counters["inject.trials"] == 15
         assert not [name for name in counters if "tables_built" in name]
+
+
+class TestFieldSizedMemory:
+    """A 2^20 field encodes and decodes in cache-sized chunks, so a build
+    peaks near its stored arrays, not at the codec's full-length temporaries."""
+
+    @pytest.mark.parametrize("name", ["posit32", "posit16"])
+    def test_build_peak_under_32_mb(self, name, rng):
+        data = rng.standard_normal(1 << 20) * np.exp2(rng.integers(-40, 41, 1 << 20))
+        target = resolve(name)
+        tracemalloc.start()
+        try:
+            FieldPipeline(target, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{name}: {peak / 2**20:.1f} MB"
 
 
 class TestPipelineOwnership:
