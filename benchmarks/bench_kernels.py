@@ -82,51 +82,51 @@ def test_full_campaign_ieee32(benchmark, values):
     assert result.trial_count == 64 * 32
 
 
-# -- codec backends: table-served vs vectorized arithmetic ------------------
+# -- codec tables: table gathers vs the raw codec ---------------------------
 #
-# The lut backend answers from_bits/classify_bits out of exhaustive
-# tables for <= 16-bit formats; these pairs quantify what that buys per
-# narrow format (tables are built once outside the timed region).  Every
-# backend encodes with the format's own encoder, so encode is timed once.
+# A software layout of at most 16 bits (posit16 here) answers
+# from_bits/classify_bits from exhaustive tables; each pair times that
+# gather against the raw codec call it stands in for (decode_raw /
+# classify_raw, the calls the backend-agreement check compares).  ieee16
+# and bfloat16 are hardware layouts without tables, so their pairs time
+# the public entry point against the same raw call.  Tables are built
+# once outside the timed region.  Every format has one encoder, timed once.
 
 CODEC_SPECS = ("posit16", "ieee16", "bfloat16")
 
 
 @pytest.fixture(scope="module", params=CODEC_SPECS)
-def codec_pair(request):
-    from repro.formats import get_format
-
-    direct = get_format(request.param, backend="direct")
-    lut = get_format(request.param, backend="lut")
+def codec_case(request):
+    fmt = resolve(request.param)
     rng = np.random.default_rng(0)
-    bits = rng.integers(0, 1 << direct.nbits, N).astype(direct.dtype)
-    lut.from_bits(bits)  # force table construction before timing
-    lut.classify_bits(bits, 0)
-    return direct, lut, bits
+    bits = rng.integers(0, 1 << fmt.nbits, N).astype(fmt.dtype)
+    fmt.from_bits(bits)  # force table construction before timing
+    fmt.classify_bits(bits, 7)
+    return fmt, bits
 
 
-def test_codec_decode_direct(benchmark, codec_pair):
-    direct, _, bits = codec_pair
-    assert len(benchmark(direct.from_bits, bits)) == N
+def test_codec_decode_raw(benchmark, codec_case):
+    fmt, bits = codec_case
+    assert len(benchmark(fmt.decode_raw, bits)) == N
 
 
-def test_codec_decode_lut(benchmark, codec_pair):
-    _, lut, bits = codec_pair
-    assert len(benchmark(lut.from_bits, bits)) == N
+def test_codec_decode_from_bits(benchmark, codec_case):
+    fmt, bits = codec_case
+    assert len(benchmark(fmt.from_bits, bits)) == N
 
 
-def test_codec_classify_direct(benchmark, codec_pair):
-    direct, _, bits = codec_pair
-    assert len(benchmark(direct.classify_bits, bits, 7)) == N
+def test_codec_classify_raw(benchmark, codec_case):
+    fmt, bits = codec_case
+    assert len(benchmark(fmt.classify_raw, bits, 7)) == N
 
 
-def test_codec_classify_lut(benchmark, codec_pair):
-    _, lut, bits = codec_pair
-    assert len(benchmark(lut.classify_bits, bits, 7)) == N
+def test_codec_classify_bits(benchmark, codec_case):
+    fmt, bits = codec_case
+    assert len(benchmark(fmt.classify_bits, bits, 7)) == N
 
 
-def test_codec_encode_direct(benchmark, codec_pair):
-    direct, _, bits = codec_pair
-    values = direct.from_bits(bits)
+def test_codec_encode(benchmark, codec_case):
+    fmt, bits = codec_case
+    values = fmt.from_bits(bits)
     values = np.where(np.isfinite(values), values, 1.0)
-    assert len(benchmark(direct.to_bits, values)) == N
+    assert len(benchmark(fmt.to_bits, values)) == N

@@ -5,8 +5,8 @@ QCAT-style error metrics; this package is the continuous gate that keeps
 them honest.  Three layers of checking (see :mod:`repro.conformance.oracle`):
 
 * **differential** — every registered codec against an independent
-  reference (struct-based IEEE, exact-``Fraction`` posits, LUT vs
-  direct backends);
+  reference (struct-based IEEE, exact-``Fraction`` posits, table
+  gathers vs the raw codec);
 * **metamorphic** — algebraic invariants no conforming codec may break
   (idempotence, RNE ties, monotonicity, negation symmetry, Lowery's
   closed-form flip errors) plus metric invariances;

@@ -7,9 +7,9 @@ Five cross-checks, each a pure function from an
 * ``codec-ref-decode`` / ``codec-ref-encode`` — the vectorized codec
   against the scalar reference (:mod:`repro.conformance.references`):
   struct-based IEEE, exact-``Fraction`` posits;
-* ``backend-agreement`` — the LUT backend against the direct backend,
-  exhaustively over the pattern space for every format narrow enough to
-  tabulate;
+* ``backend-agreement`` — a format's table gathers against its raw
+  codec (``decode_raw``/``classify_raw``/``regime_raw``), exhaustively
+  over the pattern space, for every format that decodes by tables;
 * ``lean-agreement`` — the table-free posit codec (:mod:`repro.posit.lean`)
   against :func:`repro.posit.fields.decompose`, on decode, classify and
   regime, for each posit of at most 32 bits at every ``es`` in 0..4;
@@ -36,7 +36,7 @@ from repro.conformance.references import (
     value_sample,
 )
 from repro.conformance.report import CheckResult, FindingCollector
-from repro.formats import LUT_MAX_BITS, NumberFormat, PositTarget, parse_spec
+from repro.formats import NumberFormat, PositTarget, parse_spec
 from repro.posit.config import PositConfig
 from repro.posit.decode import decode_fields
 from repro.posit.fields import classify_bit_from_fields, decompose
@@ -96,38 +96,25 @@ def check_reference_encode(ctx, fmt: NumberFormat) -> CheckResult:
 
 
 def check_backend_agreement(ctx, fmt: NumberFormat) -> CheckResult:
-    """LUT and direct backends must be bit-identical on every operation."""
+    """A format's table gathers must equal its raw codec on every pattern."""
     collector = FindingCollector("backend-agreement", fmt.name)
-    if fmt.nbits > LUT_MAX_BITS:
+    # A fresh instance, so its tables are built here from the raw codec.
+    tabled = parse_spec(fmt.name)
+    if tabled.backend_name != "lut":
         result = collector.finish(0)
         result.skipped = True
         return result
-    # Fresh instances so neither shares the registry-cached backend state.
-    direct = parse_spec(fmt.name, "direct")
-    lut = parse_spec(fmt.name, "lut")
     patterns = np.arange(1 << fmt.nbits, dtype=np.uint64).astype(fmt.dtype)
     checked = 0
 
-    direct_values = direct.from_bits(patterns)
-    lut_values = lut.from_bits(patterns)
-    mismatch = np.nonzero(float_bits(direct_values) != float_bits(lut_values))[0]
+    want_values = tabled.decode_raw(patterns)
+    got_values = tabled.from_bits(patterns)
+    mismatch = np.nonzero(float_bits(want_values) != float_bits(got_values))[0]
     checked += patterns.size
     for idx in mismatch[:8].tolist():
         collector.error(
             f"{fmt.name} from_bits(0x{int(patterns[idx]):x}) differs: "
-            f"direct={direct_values[idx]!r} lut={lut_values[idx]!r}"
-        )
-
-    values = value_sample(fmt, ctx.budget.values, seed=ctx.seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct_bits = np.asarray(direct.to_bits(values))
-        lut_bits = np.asarray(lut.to_bits(values))
-    mismatch = np.nonzero(direct_bits != lut_bits)[0]
-    checked += values.size
-    for idx in mismatch[:8].tolist():
-        collector.error(
-            f"{fmt.name} to_bits({values[idx]!r}) differs: "
-            f"direct=0x{int(direct_bits[idx]):x} lut=0x{int(lut_bits[idx]):x}"
+            f"raw={want_values[idx]!r} table={got_values[idx]!r}"
         )
 
     bits_to_check = (
@@ -136,22 +123,22 @@ def check_backend_agreement(ctx, fmt: NumberFormat) -> CheckResult:
         else sorted({0, 1, fmt.nbits // 2, fmt.nbits - 2, fmt.nbits - 1})
     )
     for bit in bits_to_check:
-        direct_fields = direct.classify_bits(patterns, bit)
-        lut_fields = lut.classify_bits(patterns, bit)
-        mismatch = np.nonzero(np.asarray(direct_fields) != np.asarray(lut_fields))[0]
+        want_fields = np.asarray(tabled.classify_raw(patterns, bit))
+        got_fields = np.asarray(tabled.classify_bits(patterns, bit))
+        mismatch = np.nonzero(want_fields != got_fields)[0]
         checked += patterns.size
         for idx in mismatch[:4].tolist():
             collector.error(
                 f"{fmt.name} classify_bits(0x{int(patterns[idx]):x}, bit={bit}) "
-                f"differs: direct={int(direct_fields[idx])} lut={int(lut_fields[idx])}"
+                f"differs: raw={int(want_fields[idx])} table={int(got_fields[idx])}"
             )
     mismatch = np.nonzero(
-        np.asarray(direct.regime_sizes(patterns)) != np.asarray(lut.regime_sizes(patterns))
+        np.asarray(tabled.regime_raw(patterns)) != np.asarray(tabled.regime_sizes(patterns))
     )[0]
     checked += patterns.size
     for idx in mismatch[:4].tolist():
         collector.error(
-            f"{fmt.name} regime_sizes(0x{int(patterns[idx]):x}) differs between backends"
+            f"{fmt.name} regime_sizes(0x{int(patterns[idx]):x}) differs from the raw codec"
         )
     return collector.finish(checked)
 

@@ -1,8 +1,9 @@
-"""Unified number-format stack: protocol, spec grammar, registry, backends.
+"""Unified number-format stack: protocol, spec grammar, registry.
 
-:func:`resolve` is the one entry point for picking a format *and* its
-codec backend — an explicit ``backend=`` wins, otherwise the automatic
-policy decides (``lut`` up to 16 bits, ``direct`` beyond).
+:func:`resolve` is the one entry point for picking a format.  The
+format fixes its codec: software layouts of at most 16 bits decode by
+exhaustive table gathers (``lut``), hardware layouts and wider formats
+by their raw codec (``direct``).
 
 >>> from repro.formats import resolve
 >>> resolve("posit16es1").nbits
@@ -13,18 +14,11 @@ policy decides (``lut`` up to 16 bits, ``direct`` beyond).
 'lut'
 >>> resolve("posit32").backend_name
 'direct'
+>>> resolve("ieee16").backend_name
+'direct'
 """
 
-from repro.formats.backends import (
-    LUT_MAX_BITS,
-    CodecBackend,
-    DirectBackend,
-    LUTBackend,
-    flip_patterns,
-    make_backend,
-    resolve_backend_name,
-)
-from repro.formats.base import NumberFormat
+from repro.formats.base import LUT_MAX_BITS, NumberFormat, flip_patterns
 from repro.formats.fixedposit import FixedPositConfig, FixedPositTarget
 from repro.formats.ieee import IEEETarget
 from repro.formats.posit import PositTarget
@@ -39,14 +33,11 @@ from repro.formats.registry import (
 from repro.formats.spec import FormatSpecError, canonical_spec, normalize_spec, parse_spec
 
 __all__ = [
-    "CodecBackend",
     "DEFAULT_FORMATS",
-    "DirectBackend",
     "FixedPositConfig",
     "FixedPositTarget",
     "FormatSpecError",
     "IEEETarget",
-    "LUTBackend",
     "LUT_MAX_BITS",
     "NumberFormat",
     "PositTarget",
@@ -55,10 +46,8 @@ __all__ = [
     "flip_patterns",
     "format_known",
     "get_format",
-    "make_backend",
     "normalize_spec",
     "parse_spec",
     "register_format",
     "resolve",
-    "resolve_backend_name",
 ]

@@ -17,11 +17,16 @@ trial.
 
 Concrete classes implement the ``*_raw`` methods; the public
 ``to_bits``/``from_bits``/``classify_bits``/``regime_sizes`` entry
-points delegate to a pluggable codec backend (``direct`` or ``lut``,
-see :mod:`repro.formats.backends`) chosen per format at construction.
-Nothing is memoized here: a campaign stores its field once, in its
-:class:`repro.inject.trial.FieldPipeline`, and every consumer reads
-that one store.
+points wrap them.  Every format encodes with its own ``encode_raw``.
+Decoding follows one rule, fixed by the layout: a format of at most
+:data:`LUT_MAX_BITS` bits that hardware does not convert (posits,
+fixed-posits, software ``binary(e,f)`` layouts) answers every decode
+from exhaustive tables built on first use (``backend_name == "lut"``);
+every other format calls its raw codec (``direct``).  A table gather
+equals the raw codec bit for bit (the conformance ``backend-agreement``
+check).  Nothing else is memoized here: a campaign stores its field
+once, in its :class:`repro.inject.trial.FieldPipeline`, and every
+consumer reads that one store.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ import abc
 import numpy as np
 
 from repro.telemetry import get_telemetry
+
+#: Widest format whose decodes are table gathers (2**16 entries a table).
+LUT_MAX_BITS = 16
 
 #: Values per elementwise codec pass over a long 1-D array (a sweep of
 #: 2^14..2^18 on a 2^20 posit32 field put the fastest at 2^15).
@@ -56,6 +64,21 @@ def _chunked(codec, values) -> np.ndarray:
     return out
 
 
+def flip_patterns(bits, bit_indices, dtype) -> np.ndarray:
+    """XOR one single-bit mask per row into ``bits``.
+
+    1-D ``bits`` broadcasts to ``(len(bit_indices), bits.size)``; an
+    array with a leading row axis is flipped row-wise.
+    """
+    arr = np.asarray(bits)
+    idx = np.asarray(bit_indices, dtype=np.int64)
+    one = np.ones((), dtype=dtype)
+    masks = np.left_shift(one, idx.astype(dtype))
+    if arr.ndim <= 1:
+        return arr ^ masks[:, None]
+    return arr ^ masks.reshape((idx.size,) + (1,) * (arr.ndim - 1))
+
+
 class NumberFormat(abc.ABC):
     """A number system that stores float data and can suffer bit flips.
 
@@ -74,10 +97,15 @@ class NumberFormat(abc.ABC):
     #: Width of one stored value in bits.
     nbits: int
 
-    def __init__(self, backend: str | None = None) -> None:
-        from repro.formats.backends import make_backend
+    #: Whether hardware converts this layout by a cast or a shift, so a
+    #: table cannot beat its raw codec.
+    _hardware_layout = False
 
-        self._backend = make_backend(self, backend)
+    def __init__(self) -> None:
+        # Exhaustive decode tables, built on first use and keyed by what
+        # they answer; ``None`` for a format that decodes raw.
+        tabulated = self.nbits <= LUT_MAX_BITS and not self._hardware_layout
+        self._tables: dict | None = {} if tabulated else None
 
     # -- raw codec operations (implemented by concrete formats) ----------
 
@@ -101,7 +129,7 @@ class NumberFormat(abc.ABC):
     def field_label(self, field_id: int) -> str:
         """Human-readable name of a field id."""
 
-    # -- public protocol (backend-dispatched) ----------------------------
+    # -- public protocol ------------------------------------------------
 
     @property
     def dtype(self) -> np.dtype:
@@ -117,16 +145,16 @@ class NumberFormat(abc.ABC):
 
     @property
     def backend_name(self) -> str:
-        """Which codec backend serves this instance (``direct``/``lut``)."""
-        return self._backend.backend_name
+        """``lut`` when this format decodes by table gathers, else ``direct``."""
+        return "direct" if self._tables is None else "lut"
 
     def to_bits(self, values) -> np.ndarray:
         """Store float values: returns the bit patterns (unsigned ints)."""
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return _chunked(self._backend.to_bits, values)
+            return _chunked(self.encode_raw, values)
         with telemetry.span("formats.encode"):
-            bits = _chunked(self._backend.to_bits, values)
+            bits = _chunked(self.encode_raw, values)
         telemetry.count("formats.encode.values", np.size(bits))
         return bits
 
@@ -134,20 +162,54 @@ class NumberFormat(abc.ABC):
         """Load bit patterns back into float64 values."""
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return _chunked(self._backend.from_bits, bits)
+            return _chunked(self._decode, bits)
         with telemetry.span("formats.decode"):
-            values = _chunked(self._backend.from_bits, bits)
+            values = _chunked(self._decode, bits)
         telemetry.count("formats.decode.values", np.size(values))
         return values
 
     def classify_bits(self, bits, bit_index: int) -> np.ndarray:
         """Per-element field id of ``bit_index`` (format-specific enum)."""
         self._check_bit(bit_index)
-        return self._backend.classify_bits(bits, bit_index)
+        if self._tables is None:
+            return self.classify_raw(bits, bit_index)
+        return self._gather(
+            ("classify", bit_index), lambda patterns: self.classify_raw(patterns, bit_index), bits
+        )
 
     def regime_sizes(self, bits) -> np.ndarray:
         """Regime size k per element; zeros for systems without a regime."""
-        return self._backend.regime_sizes(bits)
+        if self._tables is None:
+            return self.regime_raw(bits)
+        return self._gather(("regime",), self.regime_raw, bits)
+
+    # -- exhaustive tables ------------------------------------------------
+
+    def _decode(self, bits) -> np.ndarray:
+        if self._tables is None:
+            return self.decode_raw(bits)
+        return self._gather(("values",), self.decode_raw, bits)
+
+    def _gather(self, key: tuple, raw, bits) -> np.ndarray:
+        """``raw``'s answer for each pattern, from the table ``key`` names.
+
+        The table runs ``raw`` once over every pattern, on first use.
+        """
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._build_table(key[0], raw)
+        return table[np.asarray(bits).astype(np.int64) & np.int64((1 << self.nbits) - 1)]
+
+    def _build_table(self, kind: str, raw) -> np.ndarray:
+        patterns = np.arange(1 << self.nbits, dtype=np.uint64)
+        telemetry = get_telemetry()
+        if not telemetry.enabled:
+            return np.asarray(raw(patterns))
+        with telemetry.span("formats.lut.build"):
+            table = np.asarray(raw(patterns))
+        telemetry.count("formats.lut.tables_built")
+        telemetry.count(f"formats.lut.tables_built.{kind}")
+        return table
 
     def _check_bit(self, bit_index: int) -> None:
         if not 0 <= bit_index < self.nbits:
@@ -166,9 +228,9 @@ class NumberFormat(abc.ABC):
             self._check_bit(bit_index)
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return self._backend.decode_flips(bits, bit_indices)
+            return self._decode(flip_patterns(bits, bit_indices, self.dtype))
         with telemetry.span("formats.decode"):
-            values = self._backend.decode_flips(bits, bit_indices)
+            values = self._decode(flip_patterns(bits, bit_indices, self.dtype))
         telemetry.count("formats.decode.values", np.size(values))
         return values
 
@@ -177,13 +239,16 @@ class NumberFormat(abc.ABC):
 
         The multi-bit generalization of :meth:`decode_flips`: ``masks``
         is a :class:`repro.inject.faults.FaultMasks` whose members are
-        scalars or per-trial arrays broadcastable to ``bits``.
+        scalars or per-trial arrays broadcastable to ``bits``; the
+        corrupted patterns decode like :meth:`from_bits`.
         """
+        from repro.inject.faults import apply_masks
+
         telemetry = get_telemetry()
         if not telemetry.enabled:
-            return self._backend.decode_masked(bits, masks)
+            return self._decode(apply_masks(np.asarray(bits), masks, self.nbits))
         with telemetry.span("formats.decode"):
-            values = self._backend.decode_masked(bits, masks)
+            values = self._decode(apply_masks(np.asarray(bits), masks, self.nbits))
         telemetry.count("formats.decode.values", np.size(values))
         return values
 
@@ -213,4 +278,4 @@ class NumberFormat(abc.ABC):
         return f"{self.name} ({self.nbits} bits)"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<NumberFormat {self.name} backend={self.backend_name}>"
+        return f"<NumberFormat {self.name} ({self.backend_name})>"

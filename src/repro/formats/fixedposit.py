@@ -127,11 +127,11 @@ def fixedposit_spec_name(config: FixedPositConfig) -> str:
 class FixedPositTarget(NumberFormat):
     """Fixed-posit storage with static field boundaries."""
 
-    def __init__(self, config: FixedPositConfig, backend: str | None = None) -> None:
+    def __init__(self, config: FixedPositConfig) -> None:
         self.config = config
         self.name = fixedposit_spec_name(config)
         self.nbits = config.nbits
-        super().__init__(backend)
+        super().__init__()
 
     @property
     def dtype(self) -> np.dtype:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.formats.base import NumberFormat
-from repro.ieee.bits import bits_to_float, float_to_bits
+from repro.ieee.bits import bits_to_float, float_to_bits, is_hardware_layout
 from repro.ieee.fields import IEEEField, field_of_bit, layout_string as ieee_layout_string
 from repro.ieee.formats import IEEEFormat
 
@@ -34,11 +34,15 @@ def ieee_spec_name(fmt: IEEEFormat) -> str:
 class IEEETarget(NumberFormat):
     """IEEE-754 (or bfloat16, or custom ``binary(e,f)``) storage."""
 
-    def __init__(self, fmt: IEEEFormat, backend: str | None = None) -> None:
+    def __init__(self, fmt: IEEEFormat) -> None:
         self.format = fmt
         self.name = ieee_spec_name(fmt)
         self.nbits = fmt.nbits
-        super().__init__(backend)
+        super().__init__()
+
+    @property
+    def _hardware_layout(self) -> bool:
+        return is_hardware_layout(self.format)
 
     @property
     def dtype(self) -> np.dtype:

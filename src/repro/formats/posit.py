@@ -11,10 +11,9 @@ from repro.posit.encode import encode as posit_encode
 from repro.posit.fields import (
     PositField,
     classify_bit as posit_classify_bit,
-    decompose,
     layout_string as posit_layout_string,
+    regime_k,
 )
-from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 from repro.posit.rounding import round_to_posit
 
 
@@ -26,16 +25,16 @@ def posit_spec_name(config: PositConfig) -> str:
 class PositTarget(NumberFormat):
     """Posit storage (float -> posit on store, posit -> float on load).
 
-    Posits of up to 32 bits decode, classify and report regimes through
-    the table-free run-length codec of :mod:`repro.posit.lean`; wider
-    posits go through :func:`repro.posit.fields.decompose`.
+    The raw codec is :mod:`repro.posit`'s, which decodes, classifies and
+    reports regimes through the table-free run-length codec of
+    :mod:`repro.posit.lean` up to 32 bits.
     """
 
-    def __init__(self, config: PositConfig, backend: str | None = None) -> None:
+    def __init__(self, config: PositConfig) -> None:
         self.config = config
         self.name = posit_spec_name(config)
         self.nbits = config.nbits
-        super().__init__(backend)
+        super().__init__()
 
     @property
     def dtype(self) -> np.dtype:
@@ -44,31 +43,21 @@ class PositTarget(NumberFormat):
     def encode_raw(self, values) -> np.ndarray:
         return posit_encode(np.asarray(values, dtype=np.float64), self.config)
 
-    @property
-    def _lean(self) -> bool:
-        return self.nbits <= LEAN_MAX_BITS
-
     def decode_raw(self, bits) -> np.ndarray:
-        if self._lean:
-            return lean_decode(bits, self.config)
         return np.asarray(posit_decode(bits, self.config), dtype=np.float64)
 
     def round_trip_raw(self, values) -> np.ndarray:
         array = np.asarray(values, dtype=np.float64)
         if array.ndim == 0:
-            # A scalar keeps the result type of its codec backend.
+            # A scalar keeps the result type of its codec (see from_bits).
             return super().round_trip_raw(values)
         return round_to_posit(array, self.config)
 
     def classify_raw(self, bits, bit_index: int) -> np.ndarray:
-        if self._lean:
-            return lean_classify(bits, bit_index, self.config)
         return posit_classify_bit(bits, bit_index, self.config)
 
     def regime_raw(self, bits) -> np.ndarray:
-        if self._lean:
-            return lean_regime(bits, self.config)
-        return decompose(bits, self.config).run
+        return regime_k(bits, self.config)
 
     def field_label(self, field_id: int) -> str:
         return PositField(field_id).name

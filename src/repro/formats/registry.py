@@ -10,8 +10,8 @@ registry lookup it wraps).  Resolution order:
 2. the spec grammar (:mod:`repro.formats.spec`), which covers every
    parameterized posit / IEEE / fixed-posit layout.
 
-Instances are cached per ``(canonical name, backend)``, which matters
-beyond speed: LUT tables live on the instance, so repeated lookups of
+Instances are cached per canonical name, which matters beyond speed:
+decode tables live on the instance, so repeated lookups of
 ``"posit16"`` share one set of tables.
 """
 
@@ -36,7 +36,15 @@ DEFAULT_FORMATS = (
 )
 
 _FACTORIES: dict[str, Callable[[], NumberFormat]] = {}
-_INSTANCES: dict[tuple[str, str | None], NumberFormat] = {}
+_INSTANCES: dict[str, NumberFormat] = {}
+
+#: What the removed ``backend`` keyword of :func:`resolve` raises.
+_BACKEND_REMOVED = (
+    "resolve(spec, backend=...) was removed: the codec is fixed by the format "
+    "(exhaustive 'lut' tables for posits, fixed-posits and software binary(e,f) "
+    "layouts of at most 16 bits, the 'direct' raw codec otherwise; see "
+    "NumberFormat.backend_name), so call resolve(spec)"
+)
 
 
 def register_format(
@@ -44,7 +52,7 @@ def register_format(
 ) -> None:
     """Register a named format factory.
 
-    ``factory`` is called (lazily, once per backend) to build the
+    ``factory`` is called (lazily, once) to build the
     instance; its result's ``name`` need not equal ``name``, which acts
     as an alias.  ``listed=False`` registers a resolvable alias that
     :func:`available_formats` does not advertise.
@@ -61,7 +69,7 @@ def register_format(
 _UNLISTED: set[str] = set()
 
 
-def get_format(spec: str, backend: str | None = None) -> NumberFormat:
+def get_format(spec: str) -> NumberFormat:
     """Resolve a name or spec string to a (cached) format instance.
 
     Raises :class:`FormatSpecError` when the string neither names a
@@ -70,49 +78,40 @@ def get_format(spec: str, backend: str | None = None) -> NumberFormat:
     if isinstance(spec, NumberFormat):
         return spec
     key = normalize_spec(spec)
-    cached = _INSTANCES.get((key, backend))
+    cached = _INSTANCES.get(key)
     if cached is not None:
         return cached
     factory = _FACTORIES.get(key)
-    if factory is not None:
-        instance = factory()
-        if backend is not None and instance.backend_name != backend:
-            from repro.formats.backends import make_backend
-
-            instance._backend = make_backend(instance, backend)
-    else:
-        instance = parse_spec(key, backend)
+    instance = factory() if factory is not None else parse_spec(key)
     # Cache under both the requested and the canonical key so
     # get_format("binary(8,23)") and get_format("ieee32") share tables —
     # preferring an instance already cached under the canonical name.
     canonical = normalize_spec(instance.name)
-    instance = _INSTANCES.setdefault((canonical, backend), instance)
-    _INSTANCES[(key, backend)] = instance
+    instance = _INSTANCES.setdefault(canonical, instance)
+    _INSTANCES[key] = instance
     return instance
 
 
-def resolve(spec: str | NumberFormat, *, backend: str | None = None) -> NumberFormat:
+def resolve(spec: str | NumberFormat, **removed) -> NumberFormat:
     """Resolve a name, spec string, or format instance to a format.
 
-    *The* entry point for picking a format and its codec — every
-    consumer (injection engine, runner, CLI, apps, tests) should call
-    this and nothing else.  ``spec`` is a registered name, any spec
-    grammar string (``posit32``, ``binary(8,23)``,
-    ``fixedposit(16,es=2,r=3)``), or an existing instance (returned
-    untouched).  ``backend`` picks the codec explicitly
-    (``direct``/``lut``); when omitted, the automatic policy applies
-    (LUT tables for formats narrow enough to tabulate, direct codec
-    otherwise), see :func:`repro.formats.backends.resolve_backend_name`.
-    The removed ``composed`` backend raises a :class:`ValueError` that
-    names ``direct``, which now decodes posits up to 32 bits without
-    tables.
+    *The* entry point for picking a format — every consumer (injection
+    engine, runner, CLI, apps, tests) should call this and nothing
+    else.  ``spec`` is a registered name, any spec grammar string
+    (``posit32``, ``binary(8,23)``, ``fixedposit(16,es=2,r=3)``), or an
+    existing instance (returned untouched).  The format fixes its own
+    codec (:attr:`NumberFormat.backend_name`); the removed ``backend``
+    keyword raises a :class:`ValueError` that names the migration.
 
-    Instances are cached per ``(canonical name, backend)``, so repeated
-    lookups share codec tables.  Raises
-    :class:`FormatSpecError` for anything unresolvable and
-    :class:`ValueError` for an unknown or incompatible backend.
+    Instances are cached per canonical name, so repeated lookups share
+    decode tables.  Raises :class:`FormatSpecError` for anything
+    unresolvable.
     """
-    return get_format(spec, backend)
+    if "backend" in removed:
+        raise ValueError(_BACKEND_REMOVED)
+    if removed:
+        raise TypeError(f"resolve() got unexpected keyword arguments {sorted(removed)}")
+    return get_format(spec)
 
 
 def available_formats() -> list[str]:

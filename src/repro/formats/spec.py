@@ -54,7 +54,7 @@ def normalize_spec(spec: str) -> str:
     return re.sub(r"\s+", "", str(spec).lower())
 
 
-def parse_spec(spec: str, backend: str | None = None) -> NumberFormat:
+def parse_spec(spec: str) -> NumberFormat:
     """Build the :class:`NumberFormat` a spec string describes.
 
     Raises :class:`FormatSpecError` for strings outside the grammar and
@@ -72,21 +72,21 @@ def parse_spec(spec: str, backend: str | None = None) -> NumberFormat:
     if match:
         nbits = int(match.group(1))
         es = int(match.group(2)) if match.group(2) is not None else 2
-        return PositTarget(_build(PositConfig, spec, nbits=nbits, es=es), backend)
+        return PositTarget(_build(PositConfig, spec, nbits=nbits, es=es))
 
     match = _IEEE_NATIVE.match(text)
     if match:
-        return IEEETarget(IEEE_FORMATS[f"binary{match.group(1)}"], backend)
+        return IEEETarget(IEEE_FORMATS[f"binary{match.group(1)}"])
 
     if text == "bfloat16":
-        return IEEETarget(IEEE_FORMATS["bfloat16"], backend)
+        return IEEETarget(IEEE_FORMATS["bfloat16"])
 
     match = _BINARY.match(text)
     if match:
         exponent_bits, fraction_bits = int(match.group(1)), int(match.group(2))
         native = _NATIVE_LAYOUTS.get((exponent_bits, fraction_bits))
         if native is not None:
-            return IEEETarget(IEEE_FORMATS[native], backend)
+            return IEEETarget(IEEE_FORMATS[native])
         if not 2 <= exponent_bits <= 11 or not 1 <= fraction_bits <= 52:
             raise FormatSpecError(
                 f"binary({exponent_bits},{fraction_bits}) is outside the software "
@@ -98,14 +98,14 @@ def parse_spec(spec: str, backend: str | None = None) -> NumberFormat:
             fraction_bits=fraction_bits,
             float_dtype=None,
         )
-        return IEEETarget(fmt, backend)
+        return IEEETarget(fmt)
 
     match = _FIXEDPOSIT.match(text)
     if match:
         kwargs = {"nbits": int(match.group(1))}
         for key, value in re.findall(r"(es|r)=(\d+)", match.group(2)):
             kwargs[key] = int(value)
-        return FixedPositTarget(_build(FixedPositConfig, spec, **kwargs), backend)
+        return FixedPositTarget(_build(FixedPositConfig, spec, **kwargs))
 
     raise FormatSpecError(
         f"spec {spec!r} does not match the format grammar "

@@ -103,7 +103,9 @@ def software_float_to_bits(values, fmt: IEEEFormat) -> np.ndarray:
 
     # Normal path: integer significand q = rint(a * 2**(f - unbiased))
     # lands in [2**f, 2**(f+1)]; the top value carries into the exponent.
-    q_normal = np.rint(np.ldexp(np.where(normal, a, 1.0), f - unbiased))
+    # Masked lanes shift 1.0 by nothing: a float64 subnormal's shift
+    # would overflow.
+    q_normal = np.rint(np.ldexp(np.where(normal, a, 1.0), np.where(normal, f - unbiased, 0)))
     carry = q_normal >= 2.0 ** (f + 1)
     biased = biased + carry.astype(np.int64)
     q_normal = np.where(carry, 2.0**f, q_normal)

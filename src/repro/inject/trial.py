@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.inject.faults import FaultModel, SingleBitFlip
 from repro.inject.results import TrialRecords
-from repro.formats import LUT_MAX_BITS, IEEETarget, NumberFormat, resolve
-from repro.ieee import is_hardware_layout
+from repro.formats import NumberFormat
 from repro.metrics.fast import FaultMetrics, vectorized_single_fault
 from repro.metrics.pointwise import scalar_relative_error
 from repro.metrics.summary import SummaryStats
@@ -83,38 +82,15 @@ def run_single_trial(
     )
 
 
-def _pipeline_format(target: NumberFormat) -> NumberFormat:
-    """The one format instance a field pipeline encodes and decodes through.
-
-    Tables pay off only where decoding is software arithmetic: posits,
-    fixed-posits and software ``binary(e,f)`` layouts get ``lut`` tables
-    up to 16 bits, amortized over every bit of the field.  Everything
-    else decodes with ``direct``: layouts that hardware converts by a
-    cast or a shift (:func:`repro.ieee.is_hardware_layout`), posits up
-    to 32 bits through the table-free run-length codec
-    (:mod:`repro.posit.lean`), and every wider format.  Instances come
-    from the registry so tables are shared across pipelines; a format
-    that cannot rehydrate from its name serves as it is.
-    """
-    hardware = isinstance(target, IEEETarget) and is_hardware_layout(target.format)
-    name = "lut" if target.nbits <= LUT_MAX_BITS and not hardware else "direct"
-    if target.backend_name == name:
-        return target
-    try:
-        return resolve(target.name, backend=name)
-    except (ValueError, KeyError):
-        return target
-
-
 class FieldPipeline:
     """The stored field of one (target, dataset) pair.
 
     Attributes
     ----------
     target:
-        The campaign's format, as the instance whose codec backend suits
-        a whole field (see :func:`_pipeline_format`); every backend is
-        bit-identical to ``direct`` by the conformance gate.
+        The campaign's format, which encodes and decodes the field with
+        its own codec (table gathers for software layouts of at most 16
+        bits, see :attr:`repro.formats.NumberFormat.backend_name`).
     data / bits / stored:
         The flat dataset as given (raw or already stored), its patterns
         in the target format (encoded exactly once), and the
@@ -122,7 +98,7 @@ class FieldPipeline:
     """
 
     def __init__(self, target: NumberFormat, data: np.ndarray) -> None:
-        self.target = _pipeline_format(target)
+        self.target = target
         self.data = np.asarray(data).reshape(-1)
         self.bits = self.target.to_bits(self.data)
         self.stored = self.target.from_bits(self.bits)

@@ -8,9 +8,12 @@ on raw bit patterns, without two's-complementing negatives.  The scalar
 Fraction-based reference in :mod:`repro.posit._reference` cross-checks
 this (and the classic two's-complement form) in the test suite.
 
-Results are exact float64 values for every posit of width <= 32 (their
-fractions have at most 27 bits) and nearest-float64 for posit64 values
-whose fraction exceeds 52 bits.
+Posits of up to 32 bits decode through the table-free run-length codec
+(:func:`repro.posit.lean.lean_decode`), wider ones through their field
+decomposition (:func:`decode_fields`), which stays the reference the
+lean codec is checked against.  Results are exact float64 values for
+every posit of width <= 32 (their fractions have at most 27 bits) and
+nearest-float64 for posit64 values whose fraction exceeds 52 bits.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from repro.posit.config import PositConfig
 from repro.posit.fields import FieldDecomposition, decompose
+from repro.posit.lean import LEAN_MAX_BITS, lean_decode
 
 
 def scale_of(fields: FieldDecomposition, config: PositConfig) -> np.ndarray:
@@ -31,7 +35,11 @@ def decode(bits, config: PositConfig) -> np.ndarray:
     """Decode posit bit patterns to float64 (NaR → NaN, zero → 0.0)."""
     work = np.asarray(bits)
     scalar_input = work.ndim == 0
-    values = decode_fields(decompose(np.atleast_1d(work), config), config)
+    work = np.atleast_1d(work)
+    if config.nbits <= LEAN_MAX_BITS:
+        values = lean_decode(work, config)
+    else:
+        values = decode_fields(decompose(work, config), config)
     if scalar_input:
         return values[0]
     return values

@@ -147,10 +147,16 @@ def classify_bit(bits, bit_index: int, config: PositConfig) -> np.ndarray:
     Returns an int64 array of :class:`PositField` values.  Zero and NaR
     patterns are classified by the same geometric rules (their regime run
     spans the whole body), which matches how a fault lands in storage.
+    Posits of up to 32 bits are classified from their run length alone
+    (:func:`repro.posit.lean.lean_classify`).
     """
     n = config.nbits
     if not 0 <= bit_index < n:
         raise ValueError(f"bit_index must be in [0, {n}), got {bit_index}")
+    from repro.posit.lean import LEAN_MAX_BITS, lean_classify
+
+    if n <= LEAN_MAX_BITS:
+        return lean_classify(bits, bit_index, config)
     fields = decompose(bits, config)
     return classify_bit_from_fields(fields, bit_index, config)
 
@@ -196,6 +202,10 @@ def classify_all_bits(bits, config: PositConfig) -> np.ndarray:
 
 def regime_k(bits, config: PositConfig) -> np.ndarray:
     """The paper's regime size *k*: count of identical leading regime bits."""
+    from repro.posit.lean import LEAN_MAX_BITS, lean_regime
+
+    if config.nbits <= LEAN_MAX_BITS:
+        return lean_regime(bits, config)
     return decompose(bits, config).run
 
 

@@ -21,8 +21,11 @@ patterns use the standard's direct form on the raw bits,
 ``(f - 2) * 2**-(scale + 1)``, which is the same sum negated, so one
 scan serves every field and both signs.  Every posit of at most 32 bits
 is an exact normal float64, so the result is bit-identical to
-:func:`repro.posit.decode`; :func:`repro.posit.fields.decompose` stays
-the reference these are checked against, and serves wider posits.
+:func:`repro.posit.decode.decode_fields` of the decomposition;
+:func:`repro.posit.fields.decompose` stays the reference these are
+checked against, and serves wider posits.  :func:`repro.posit.decode`,
+:func:`repro.posit.classify_bit` and :func:`repro.posit.regime_k` route
+posits of at most 32 bits through here.
 """
 
 from __future__ import annotations

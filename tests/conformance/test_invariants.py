@@ -72,7 +72,7 @@ def _broken_decode(spec: str, *, poison_pattern: int, poison_value: float):
     """
     from repro.formats import parse_spec
 
-    fmt = parse_spec(spec, "direct")
+    fmt = parse_spec(spec)
     true_from_bits = fmt.from_bits
 
     def from_bits(patterns):

@@ -1,4 +1,4 @@
-"""The batched codec surface: broadcast and row-wise flips, backend policy.
+"""The batched codec surface: broadcast and row-wise flips, table policy.
 
 Identity tests run over *every* registered format and every bit
 position: the batch operations must reproduce the scalar API results
@@ -86,4 +86,4 @@ class TestBatchBackendPolicy:
         assert self._backend(name) == "direct"
 
     def test_batch_instances_share_registry_cache(self):
-        assert resolve("posit16", backend="lut") is resolve("posit16", backend="lut")
+        assert resolve("posit16") is resolve("posit16")

@@ -9,7 +9,7 @@ from repro.posit.fields import PositField
 
 @pytest.fixture(scope="module")
 def fp16():
-    return get_format("fixedposit(16,es=2,r=3)", backend="direct")
+    return get_format("fixedposit(16,es=2,r=3)")
 
 
 class TestConfig:
@@ -33,7 +33,7 @@ class TestCodec:
         "fixedposit(12,es=0,r=4)",
     ])
     def test_exhaustive_pattern_round_trip(self, spec):
-        target = get_format(spec, backend="direct")
+        target = get_format(spec)
         patterns = np.arange(1 << target.nbits, dtype=np.uint64)
         values = target.decode_raw(patterns)
         assert np.array_equal(target.encode_raw(values).astype(np.uint64), patterns)

@@ -1,4 +1,4 @@
-"""Tests for the format registry and backend selection."""
+"""Tests for the format registry and each format's codec."""
 
 import numpy as np
 import pytest
@@ -49,31 +49,34 @@ class TestLookup:
 
 
 class TestBackendSelection:
+    """The format fixes its codec: tables for software layouts of at most
+    16 bits, the raw codec for hardware layouts and wider formats."""
+
     def test_auto_uses_lut_for_narrow_formats(self):
         assert get_format("posit16").backend_name == "lut"
         assert get_format("posit8").backend_name == "lut"
-        assert get_format("bfloat16").backend_name == "lut"
+        assert get_format("binary(6,9)").backend_name == "lut"
+        assert get_format("fixedposit(16,es=2,r=3)").backend_name == "lut"
 
     def test_auto_uses_direct_for_wide_formats(self):
         assert get_format("posit32").backend_name == "direct"
         assert get_format("ieee64").backend_name == "direct"
 
-    def test_explicit_backend_override(self):
-        direct = get_format("posit16", backend="direct")
-        assert direct.backend_name == "direct"
-        assert direct is not get_format("posit16")
+    def test_backend_keyword_names_the_migration(self):
+        for requested in ("direct", "lut", "auto", "composed", "bogus"):
+            with pytest.raises(ValueError, match=r"backend=\.\.\.\) was removed.*resolve\(spec\)"):
+                resolve("posit16", backend=requested)
 
-    def test_explicit_lut_on_wide_format_rejected(self):
-        with pytest.raises(ValueError, match="lut"):
-            get_format("posit32", backend="lut")
-
-    def test_unknown_backend_rejected(self):
-        for unknown in ("bogus", "numba"):
-            with pytest.raises(ValueError, match="unknown format backend"):
-                parse_spec("posit16", unknown)
+    def test_backend_is_no_longer_a_parameter(self):
+        with pytest.raises(TypeError):
+            get_format("posit16", "direct")
+        with pytest.raises(TypeError):
+            parse_spec("posit16", "direct")
+        with pytest.raises(TypeError):
+            resolve("posit16", codec="lut")
 
     def test_env_var_is_ignored(self, monkeypatch):
-        # The process-wide override was removed; only ``backend=`` picks.
+        # No process-wide override: the format alone fixes its codec.
         monkeypatch.setenv("REPRO_FORMAT_BACKEND", "direct")
         assert parse_spec("posit16").backend_name == "lut"
         assert parse_spec("posit32").backend_name == "direct"
@@ -95,13 +98,12 @@ class TestResolveEntryPoint:
             resolve("float128")
 
     def test_resolve_picks_backend(self):
-        assert resolve("posit16", backend="direct").backend_name == "direct"
-        assert resolve("posit16", backend="lut").backend_name == "lut"
-        assert resolve("posit32", backend="direct").backend_name == "direct"
-
-    def test_composed_backend_names_direct(self):
-        with pytest.raises(ValueError, match=r"'composed' was removed.*backend='direct'"):
-            resolve("posit32", backend="composed")
+        # resolve picks the codec from the layout, never from the caller.
+        assert resolve("posit16").backend_name == "lut"
+        assert resolve("binary(6,9)").backend_name == "lut"
+        assert resolve("ieee16").backend_name == "direct"
+        assert resolve("bfloat16").backend_name == "direct"
+        assert resolve("posit32").backend_name == "direct"
 
     def test_spec_parsed_targets_work_end_to_end(self):
         values = np.array([1.5, -200.0, 0.0, 3.0e-4])

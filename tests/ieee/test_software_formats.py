@@ -1,8 +1,11 @@
 """Tests for the software codec behind arbitrary ``binary(e,f)`` layouts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.formats import resolve
 from repro.ieee.bits import (
     bits_to_float,
     float_to_bits,
@@ -57,6 +60,19 @@ class TestCustomLayouts:
         finite = np.isfinite(values)
         re_encoded = software_float_to_bits(values[finite], fmt)
         assert np.array_equal(re_encoded.astype(np.uint64), patterns[finite])
+
+    @pytest.mark.parametrize("spec", ["binary(6,9)", "binary(8,16)"])
+    def test_float64_subnormals_store_as_signed_zero_without_warnings(self, spec):
+        # Every input lies far below half the layout's smallest subnormal,
+        # so each rounds to zero of its own sign; the masked normal-path
+        # lanes must not overflow on the way (custom layouts have no
+        # scalar reference codec, so the exact patterns are spelled out).
+        fmt = resolve(spec)
+        sign = 1 << (fmt.nbits - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = fmt.to_bits(np.array([5e-324, -5e-324, 1e-310]))
+        assert bits.tolist() == [0, sign, 0]
 
     def test_rne_ties_to_even(self):
         fmt = IEEEFormat("binary(6,9)", exponent_bits=6, fraction_bits=9, float_dtype=None)

@@ -50,4 +50,6 @@ class TestTargetsRemoved:
 
         with pytest.raises(TypeError):
             resolve("posit16", "direct")  # noqa: too-many-function-args
-        assert resolve("posit16", backend="direct").backend_name == "direct"
+        # The keyword survives only to name the migration.
+        with pytest.raises(ValueError, match="was removed"):
+            resolve("posit16", backend="direct")

@@ -2,27 +2,30 @@
 
 :mod:`repro.posit.lean` decodes, classifies and reports regimes for
 posits of up to 32 bits from one leading-run count.  Every test compares
-it with the ``decompose`` path it replaces (``repro.posit.decode``,
-``classify_bit``, ``decompose(...).run``): exhaustively for narrow
-widths, on samples plus special-value corners at 32 bits, and as a
-Hypothesis property over every width and ``es``.
+it with the field decomposition, which shares no code with it
+(``decode_fields(decompose(...))``, ``classify_bit_from_fields``,
+``decompose(...).run``): exhaustively for narrow widths, on samples plus
+special-value corners at 32 bits, and as a Hypothesis property over
+every width and ``es``.  ``repro.posit.decode`` and ``classify_bit``
+route through the lean codec themselves, so they are no reference.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.formats import flip_patterns, parse_spec, resolve
+from repro.formats import flip_patterns, resolve
 from repro.posit import (
     LEAN_MAX_BITS,
     PositConfig,
-    classify_bit,
     decode,
     decompose,
     lean_classify,
     lean_decode,
     lean_regime,
 )
+from repro.posit.decode import decode_fields
+from repro.posit.fields import classify_bit_from_fields
 
 #: Narrow posits walked over every pattern: the standard widths, the
 #: 8-12-bit variants around es = 2, and a 16-bit es = 1.
@@ -35,16 +38,27 @@ def _bits_view(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def reference_decode(patterns, config: PositConfig) -> np.ndarray:
+    """Decode through the field decomposition, never the lean codec."""
+    return decode_fields(decompose(np.atleast_1d(patterns), config), config).reshape(
+        np.shape(patterns)
+    )
+
+
+def reference_classify(patterns, bit: int, config: PositConfig) -> np.ndarray:
+    return classify_bit_from_fields(decompose(patterns, config), bit, config)
+
+
 def assert_lean_matches(patterns, config: PositConfig) -> None:
     """Lean decode, regime and every bit's field equal the decomposition."""
     patterns = np.asarray(patterns, dtype=np.uint64).astype(config.dtype)
     assert np.array_equal(
-        _bits_view(lean_decode(patterns, config)), _bits_view(decode(patterns, config))
+        _bits_view(lean_decode(patterns, config)), _bits_view(reference_decode(patterns, config))
     )
     assert np.array_equal(lean_regime(patterns, config), decompose(patterns, config).run)
     for bit in range(config.nbits):
         assert np.array_equal(
-            lean_classify(patterns, bit, config), classify_bit(patterns, bit, config)
+            lean_classify(patterns, bit, config), reference_classify(patterns, bit, config)
         ), bit
 
 
@@ -73,23 +87,24 @@ class TestPosit32:
         fmt = resolve("posit32")
         patterns = _sample_patterns(fmt, rng)
         assert np.array_equal(
-            _bits_view(fmt.from_bits(patterns)), _bits_view(decode(patterns, fmt.config))
+            _bits_view(fmt.from_bits(patterns)),
+            _bits_view(reference_decode(patterns, fmt.config)),
         )
         for bit in sorted({0, 1, 7, 15, 16, 17, fmt.nbits - 2, fmt.nbits - 1}):
             assert np.array_equal(
-                fmt.classify_bits(patterns, bit), classify_bit(patterns, bit, fmt.config)
+                fmt.classify_bits(patterns, bit), reference_classify(patterns, bit, fmt.config)
             ), bit
         assert np.array_equal(fmt.regime_sizes(patterns), decompose(patterns, fmt.config).run)
 
     def test_decode_flips_matches_decompose(self, rng):
-        fmt = parse_spec("posit32", "direct")
+        fmt = resolve("posit32")
         patterns = _sample_patterns(fmt, rng, count=4096)
         bit_list = np.arange(fmt.nbits, dtype=np.int64)
         rows = np.broadcast_to(patterns, (bit_list.size, patterns.size))
         flipped = flip_patterns(rows, bit_list, fmt.dtype)
         assert np.array_equal(
             _bits_view(fmt.decode_flips(rows, bit_list)),
-            _bits_view(decode(flipped, fmt.config)),
+            _bits_view(reference_decode(flipped, fmt.config)),
         )
 
     def test_every_run_length(self, rng):
@@ -116,11 +131,11 @@ class TestShapesAndLimits:
         patterns = rng.integers(0, 1 << 16, size=(3, 5)).astype(np.uint16)
         assert lean_decode(patterns, config).shape == (3, 5)
         assert lean_classify(patterns, 4, config).shape == (3, 5)
-        assert np.array_equal(lean_decode(patterns, config), decode(patterns, config))
+        assert np.array_equal(lean_decode(patterns, config), reference_decode(patterns, config))
 
     def test_bits_above_the_width_are_masked(self):
         config = PositConfig(8)
-        assert lean_decode(np.uint64(0xFF40), config) == decode(np.uint64(0x40), config)
+        assert lean_decode(np.uint64(0xFF40), config) == reference_decode(np.uint64(0x40), config)
         assert lean_regime(np.uint64(0xFF40), config) == 1
 
     def test_rejects_wider_than_32_bits(self):

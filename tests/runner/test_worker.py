@@ -263,7 +263,16 @@ class TestLeaseExpirySteal:
         assert manifest.status == RUN_COMPLETED
         assert set(manifest.shards) == set(bits)
         assert not manifest.pending_bits()
-        assert verify_run(run_dir).ok
+        # A kill between the victim's manifest update and its event
+        # append loses that shard_finish event: the one documented
+        # warning a hard kill may leave.  Anything else still fails.
+        report = verify_run(run_dir)
+        assert not report.errors, [f.render() for f in report.errors]
+        for finding in report.warnings:
+            assert finding.check == "events-reconcile", finding.render()
+            assert "in-flight event can be lost to a hard kill" in finding.message, (
+                finding.render()
+            )
 
         # The survivor either stole the victim's expired lease or the
         # victim's shard landed before the kill; both identities claimed
