@@ -18,6 +18,7 @@ from repro.bitops.core import (
     leading_run_length,
     popcount,
     set_bits_string,
+    shift_round,
     sign_bit,
     to_signed,
     to_unsigned,
@@ -35,6 +36,7 @@ __all__ = [
     "leading_run_length",
     "popcount",
     "set_bits_string",
+    "shift_round",
     "sign_bit",
     "to_signed",
     "to_unsigned",

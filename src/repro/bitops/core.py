@@ -177,6 +177,23 @@ def to_signed(bits, width: int) -> np.ndarray:
     return signed
 
 
+def shift_round(tail, drop, high=0):
+    """``high | tail >> drop``, rounded to nearest, ties to even.
+
+    The ``drop`` bits shifted out of ``tail`` decide the rounding: more
+    than half a unit of the last kept bit rounds up, less truncates, and
+    exactly half rounds to the even result.  A carry out of the kept
+    tail bits runs on into ``high``, whose bits must lie above
+    ``tail >> drop``.  ``tail`` and ``high`` are int64; ``drop`` is an
+    int or an int64 array in ``[0, 62]``.  This is the one rounding rule
+    of every software float64 encoder: each lays its target's unbounded
+    pattern out as ``high`` and ``tail``.
+    """
+    kept = high | tail >> drop
+    rem = tail & ((1 << drop) - 1)
+    return kept + ((rem << 1 | kept & 1) > 1 << drop)
+
+
 def to_unsigned(values, width: int) -> np.ndarray:
     """Inverse of :func:`to_signed` — wrap signed values into ``width`` bits."""
     work = np.asarray(values).astype(np.int64, copy=False)

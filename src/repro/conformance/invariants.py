@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.conformance.references import pattern_sample, value_sample
 from repro.conformance.report import CheckResult, FindingCollector
-from repro.formats import IEEETarget, NumberFormat, PositTarget
+from repro.formats import FixedPositTarget, IEEETarget, NumberFormat, PositTarget
 
 #: Tolerance for closed-form relative-error identities: the measured
 #: ratio is one float64 division away from exact.
@@ -99,7 +99,7 @@ def _positive_finite_neighbors(fmt: NumberFormat, count: int, seed: int) -> np.n
         # Positive finite patterns: 1 .. (inf pattern - 2), so p+1 stays finite.
         top = (fmt.format.exponent_all_ones << fmt.format.fraction_bits) - 2
     else:
-        # Positive posit patterns: 1 .. maxpos-1, so p+1 stays below NaR.
+        # Positive (fixed-)posit patterns: 1 .. maxpos-1, so p+1 stays below NaR.
         top = (1 << (fmt.nbits - 1)) - 2
     if top < 1:
         return np.empty(0, dtype=np.uint64)
@@ -113,10 +113,12 @@ def check_rne_ties(ctx, fmt: NumberFormat) -> CheckResult:
     """Exact midpoints of adjacent values round to the even pattern.
 
     Only formats whose neighbor midpoints are exact float64 values can
-    be driven through the float64 protocol; wider formats skip.
+    be driven through the float64 protocol; wider formats skip.  A
+    fixed-posit's positive patterns count up like IEEE's, fraction then
+    scale, so every neighbor midpoint is a tie.
     """
     collector = FindingCollector("rne-ties", fmt.name)
-    if not isinstance(fmt, (IEEETarget, PositTarget)) or fmt.nbits > 32:
+    if not isinstance(fmt, (IEEETarget, PositTarget, FixedPositTarget)) or fmt.nbits > 32:
         result = collector.finish(0)
         result.skipped = True
         return result

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.bitops import uint_dtype_for
+from repro.bitops import shift_round, uint_dtype_for
 from repro.formats.base import NumberFormat
 from repro.posit.fields import PositField
 
@@ -151,32 +151,25 @@ class FixedPositTarget(NumberFormat):
     def encode_raw(self, values) -> np.ndarray:
         c = self.config
         x = np.asarray(values, dtype=np.float64)
-        fbits = c.fraction_bits
         a = np.abs(x)
         finite = np.isfinite(x) & (a != 0)
 
-        _, exp2 = np.frexp(np.where(finite, a, 1.0))
-        scale = exp2.astype(np.int64) - 1
-        # Integer significand in [2**fbits, 2**(fbits+1)]; the top value
-        # carries into the scale.
-        q = np.rint(np.ldexp(np.where(finite, a, 1.0), fbits - scale))
-        carry = q >= 2.0 ** (fbits + 1)
-        scale = scale + carry.astype(np.int64)
-        q = np.where(carry, 2.0**fbits, q)
-        frac = (q - 2.0**fbits).astype(np.uint64)
-
-        k = np.floor_divide(scale, 1 << c.es)
-        e = (scale - k * (1 << c.es)).astype(np.uint64)
-        k_field = ((k - c.k_min) & ((1 << c.r) - 1)).astype(np.uint64)
-        pattern = (
-            (k_field << np.uint64(c.es + fbits)) | (e << np.uint64(fbits)) | frac
-        )
+        # A positive pattern is (scale - min_scale) << F | fraction: the
+        # float64 bit pattern less the bits of 2**min_scale, rounded from
+        # 52 fraction bits to F (a carry runs into the scale).  Layouts
+        # with more than 52 fraction bits shift left instead.
+        bits = a.view(np.int64)
+        scale = (bits >> 52) - 1023
+        fbits = c.fraction_bits
+        tail = (bits - ((1023 + c.min_scale) << 52)) << max(fbits - 52, 0)
+        pattern = shift_round(tail, max(52 - fbits, 0))
         # Posit-style saturation: overflow to maxpos, underflow to minpos
         # (never to zero, never to NaR).  minpos also absorbs the stolen
-        # pattern-0 code point (2**min_scale rounds up to pattern 1).
-        pattern = np.where(scale > c.max_scale, np.uint64(self._maxpos_pattern), pattern)
-        pattern = np.where(scale < c.min_scale, np.uint64(self._minpos_pattern), pattern)
-        pattern = np.maximum(pattern, np.uint64(self._minpos_pattern))
+        # pattern-0 code point (2**min_scale rounds up to pattern 1), and
+        # maxpos a carry out of the top scale.
+        pattern = np.where(scale > c.max_scale, self._maxpos_pattern, pattern)
+        pattern = np.where(scale < c.min_scale, self._minpos_pattern, pattern)
+        pattern = np.clip(pattern, self._minpos_pattern, self._maxpos_pattern).astype(np.uint64)
         # Negative values are the two's complement of the whole word.
         negative = np.signbit(x) & finite
         twos = (np.uint64(c.mask) - pattern + np.uint64(1)) & np.uint64(c.mask)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitops import shift_round
 from repro.ieee.formats import BFLOAT16, BINARY32, IEEEFormat
+
+_FRACTION_MASK = (1 << 52) - 1
 
 
 def is_hardware_layout(fmt: IEEEFormat) -> bool:
@@ -80,60 +83,37 @@ def software_float_to_bits(values, fmt: IEEEFormat) -> np.ndarray:
 
     Pure-NumPy round-to-nearest-even for any format whose exponent fits
     in 11 bits and fraction in 52 — i.e. any layout float64 covers
-    exactly.  Scaling by powers of two is exact and ``np.rint`` rounds
-    half-to-even, so the result is a single correct rounding of the
-    input (matching what a native dtype cast would do).
+    exactly.  Both cases round the float64 bit pattern once with
+    :func:`repro.bitops.shift_round`, so the result is a single correct
+    rounding of the input (matching what a native dtype cast would do):
+
+    * a normal result is the float64 pattern with its exponent rebiased,
+      rounded from 52 fraction bits to ``f``; a carry runs on into the
+      exponent field, up to the infinity pattern;
+    * a subnormal result counts quanta of ``2**(1 - bias - f)``: the
+      float64 significand, implicit bit included, shifted right.  A full
+      count of ``2**f`` is the smallest normal's pattern.
     """
     _check_software_format(fmt)
     x = np.asarray(values, dtype=np.float64)
     f = fmt.fraction_bits
     bias = fmt.bias
-    sign = np.signbit(x).astype(np.uint64)
-    a = np.abs(x)
+    bits = np.abs(x).view(np.int64)
+    exponent = bits >> 52
 
-    is_nan = np.isnan(x)
-    is_inf = np.isinf(x)
-    finite = ~(is_nan | is_inf) & (a != 0)
+    # Magnitudes from 2**(all_ones - bias) up, inf included, clip to that
+    # power of two, whose pattern is infinity's.
+    inf_bits = (fmt.exponent_all_ones + 1023 - bias) << 52
+    normal = shift_round(np.minimum(bits, inf_bits) - ((1023 - bias) << 52), 52 - f)
+    # A float64 subnormal (exponent field 0) has no implicit bit and
+    # scale 2**-1022; drops past 62 bits all round to zero.
+    significand = (bits & _FRACTION_MASK) | np.minimum(exponent, 1) << 52
+    drop = np.clip((1076 - bias - f) - np.maximum(exponent, 1), 0, 62)
+    pattern = np.where(exponent + bias > 1023, normal, shift_round(significand, drop))
 
-    mantissa, exp2 = np.frexp(np.where(finite, a, 1.0))
-    unbiased = exp2.astype(np.int64) - 1
-    biased = unbiased + bias
-    normal = finite & (biased >= 1)
-    subnormal = finite & (biased < 1)
-
-    # Normal path: integer significand q = rint(a * 2**(f - unbiased))
-    # lands in [2**f, 2**(f+1)]; the top value carries into the exponent.
-    # Masked lanes shift 1.0 by nothing: a float64 subnormal's shift
-    # would overflow.
-    q_normal = np.rint(np.ldexp(np.where(normal, a, 1.0), np.where(normal, f - unbiased, 0)))
-    carry = q_normal >= 2.0 ** (f + 1)
-    biased = biased + carry.astype(np.int64)
-    q_normal = np.where(carry, 2.0**f, q_normal)
-    overflow = normal & (biased >= fmt.exponent_all_ones)
-
-    # Subnormal path: count quanta of 2**(1 - bias - f); a full count of
-    # 2**f promotes to the smallest normal.
-    q_sub = np.rint(np.ldexp(np.where(subnormal, a, 0.0), f + bias - 1))
-    promote = subnormal & (q_sub >= 2.0**f)
-
-    exp_field = np.zeros(np.shape(x), dtype=np.uint64)
-    frac_field = np.zeros(np.shape(x), dtype=np.uint64)
-    exp_field = np.where(normal, biased.astype(np.uint64), exp_field)
-    frac_field = np.where(normal, (q_normal - 2.0**f).astype(np.uint64), frac_field)
-    exp_field = np.where(promote, np.uint64(1), exp_field)
-    frac_field = np.where(subnormal & ~promote, q_sub.astype(np.uint64), frac_field)
-
-    all_ones = np.uint64(fmt.exponent_all_ones)
-    exp_field = np.where(is_inf | overflow, all_ones, exp_field)
-    frac_field = np.where(is_inf | overflow, np.uint64(0), frac_field)
-    exp_field = np.where(is_nan, all_ones, exp_field)
-    frac_field = np.where(is_nan, np.uint64(1) << np.uint64(f - 1), frac_field)
-
-    pattern = (
-        (sign << np.uint64(fmt.nbits - 1))
-        | (exp_field << np.uint64(f))
-        | frac_field
-    )
+    nan_pattern = (fmt.exponent_all_ones << f) | (1 << (f - 1))
+    pattern = np.where(np.isnan(x), nan_pattern, pattern)
+    pattern = pattern | np.signbit(x).astype(np.int64) << (fmt.nbits - 1)
     return pattern.astype(fmt.dtype)
 
 
@@ -146,11 +126,13 @@ def software_bits_to_float(bits, fmt: IEEEFormat) -> np.ndarray:
     e_raw = ((work >> np.uint64(f)) & np.uint64(fmt.exponent_all_ones)).astype(np.int64)
     frac = (work & np.uint64(fmt.fraction_mask)).astype(np.float64)
 
-    normal_value = np.ldexp(1.0 + frac * 2.0**-f, e_raw - fmt.bias)
+    special = e_raw == fmt.exponent_all_ones
+    # Inf/NaN lanes scale by nothing: with 11 exponent bits their
+    # exponent would overflow ldexp.
+    normal_value = np.ldexp(1.0 + frac * 2.0**-f, np.where(special, 0, e_raw - fmt.bias))
     subnormal_value = np.ldexp(frac, 1 - fmt.bias - f)
     value = np.where(e_raw == 0, subnormal_value, normal_value)
-    special = np.where(frac == 0.0, np.inf, np.nan)
-    value = np.where(e_raw == fmt.exponent_all_ones, special, value)
+    value = np.where(special, np.where(frac == 0.0, np.inf, np.nan), value)
     return np.where(sign_bit == 1, -value, value)
 
 

@@ -37,8 +37,8 @@ from repro.posit.config import (
     standard_config,
 )
 from repro.posit.convert import convert, is_widening_exact, round_trip_is_identity
-from repro.posit.decode import decode, decode32
-from repro.posit.encode import encode, encode32
+from repro.posit.decode import decode
+from repro.posit.encode import encode
 from repro.posit.fields import (
     COARSE_FIELD_OF,
     FieldDecomposition,
@@ -52,7 +52,6 @@ from repro.posit.fields import (
 from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 from repro.posit.quire import Quire, dot, total
 from repro.posit.special import is_nar, is_negative, is_zero, maxpos, minpos, nar, zero
-from repro.posit.tables import lattice_neighbors, positive_values_sorted, value_table
 from repro.posit.ulp import next_down, next_up, relative_spacing_at, spacing_at, ulp
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "compare",
     "convert",
     "decode",
-    "decode32",
     "decode_exact",
     "decode_exact_twos_complement",
     "decode_float",
@@ -83,14 +81,12 @@ __all__ = [
     "divide",
     "dot",
     "encode",
-    "encode32",
     "encode_exact",
     "fma",
     "is_nar",
     "is_negative",
     "is_widening_exact",
     "is_zero",
-    "lattice_neighbors",
     "layout_string",
     "lean_classify",
     "lean_decode",
@@ -102,7 +98,6 @@ __all__ = [
     "negate",
     "next_down",
     "next_up",
-    "positive_values_sorted",
     "relative_spacing_at",
     "spacing_at",
     "ulp",
@@ -112,6 +107,5 @@ __all__ = [
     "standard_config",
     "subtract",
     "total",
-    "value_table",
     "zero",
 ]

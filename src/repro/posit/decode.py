@@ -65,9 +65,3 @@ def decode_fields(fields: FieldDecomposition, config: PositConfig) -> np.ndarray
     values = np.where(fields.is_zero, 0.0, values)
     return np.where(fields.is_nar, np.nan, values)
 
-
-def decode32(bits) -> np.ndarray:
-    """Convenience: decode standard posit32 patterns."""
-    from repro.posit.config import POSIT32
-
-    return decode(bits, POSIT32)

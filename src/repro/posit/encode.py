@@ -2,26 +2,26 @@
 
 The encoder mirrors SoftPosit's conversion semantics (the paper's
 ``convertFloatToP32``): the input is treated as an exact real, laid out as
-an unbounded sign/regime/exponent/fraction bit string, truncated to
-``nbits`` with round-to-nearest-even on the bit string (guard + sticky),
-and clamped so that a nonzero finite real never becomes zero or NaR
-(saturating at minpos / maxpos).  NaN and infinities map to NaR.
+an unbounded sign/regime/exponent/fraction bit string, rounded to
+``nbits`` to nearest, ties to even, and clamped so that a nonzero finite
+real never becomes zero or NaR (saturating at minpos / maxpos).  NaN and
+infinities map to NaR.
 
-The implementation builds the kept bits directly inside a uint64 per
-element so that no Python-int big arithmetic is needed; the scalar
-Fraction-based reference cross-checks it exhaustively for 8/16-bit posits
-and by property tests for 32/64-bit.
+The bit string comes straight from the float64 bit pattern: the biased
+exponent gives the scale ``h = useed_log2 * k + e``, the regime ``k``
+becomes the high bits of the body, and the exponent bits ``e`` and the 52
+fraction bits are its tail.  One :func:`repro.bitops.shift_round` keeps
+the top ``nbits - 1`` bits, with no Python-int big arithmetic.  The
+scalar Fraction-based reference cross-checks it exhaustively for
+8/16-bit posits and by property tests for 32/64-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bitops import twos_complement
+from repro.bitops import shift_round, twos_complement
 from repro.posit.config import PositConfig
-
-_U1 = np.uint64(1)
-_U0 = np.uint64(0)
 
 
 def encode(values, config: PositConfig) -> np.ndarray:
@@ -41,7 +41,6 @@ def encode(values, config: PositConfig) -> np.ndarray:
 
     n = config.nbits
     es = config.es
-    useed_log2 = config.useed_log2
 
     nar = np.isnan(array) | np.isinf(array)
     zero = array == 0.0
@@ -49,83 +48,28 @@ def encode(values, config: PositConfig) -> np.ndarray:
     magnitude = np.abs(array)
 
     # Saturation: |x| >= maxpos -> maxpos, 0 < |x| <= minpos -> minpos.
+    # Every other finite nonzero value is a float64 normal whose regime
+    # fits the body, which the general path below relies on.
     sat_hi = magnitude >= config.maxpos
     sat_lo = (magnitude <= config.minpos) & ~zero
-    # Values handled by the general path below.
-    general = ~(zero | nar | sat_hi | sat_lo)
 
-    # Exact significand decomposition: magnitude = M * 2**(h - 52) with
-    # M in [2**52, 2**53).  frexp is exact; the float64 -> uint64 cast of
-    # mant * 2**53 is exact because the product is an integer < 2**53.
-    safe_mag = np.where(general, magnitude, 1.0)
-    mant, exp = np.frexp(safe_mag)
-    h = exp.astype(np.int64) - 1
-    m53 = np.ldexp(mant, 53).astype(np.uint64)
-    f52 = m53 - (_U1 << np.uint64(52))  # 52 fraction bits
-
-    # Regime/exponent split of the scale h = useed_log2 * r + e.
-    regime = np.floor_divide(h, useed_log2)
-    e = (h - useed_log2 * regime).astype(np.uint64)
-
-    # Regime field: r >= 0 -> (r+1) ones then a zero; r < 0 -> (-r) zeros
-    # then a one.  regime_len counts the terminating bit.  On the general
-    # path r is within [-(n-2), n-3], so regime_len <= n-1 always fits.
-    r_pos = regime >= 0
-    safe_r = np.where(general, regime, 0)
-    regime_len = np.where(r_pos, safe_r + 2, -safe_r + 1).astype(np.int64)
-    ones_run = np.where(r_pos, safe_r + 1, 0).astype(np.uint64)
-    regime_pattern = np.where(
-        r_pos,
-        ((_U1 << ones_run) - _U1) << _U1,
-        _U1,
-    ).astype(np.uint64)
-
-    # Assemble the kept n-1 bits below the (zero) sign bit.
-    rem = (n - 1) - regime_len  # bits left for exponent + fraction
-    pattern = regime_pattern << np.maximum(rem, 0).astype(np.uint64)
-
-    guard = np.zeros(array.shape, dtype=bool)
-    sticky = np.zeros(array.shape, dtype=bool)
-
-    full_exp = rem >= es
-    # --- exponent fully kept --------------------------------------------
-    nf = np.where(full_exp, rem - es, 0).astype(np.int64)
-    pattern_full = pattern | (e << nf.astype(np.uint64))
-    wide_frac = nf >= 52
-    # fraction fully kept (posit64 near 1): shift fraction up.
-    up_shift = np.where(wide_frac, nf - 52, 0).astype(np.uint64)
-    pattern_wide = pattern_full | (f52 << up_shift)
-    # fraction truncated: keep top nf bits, guard/sticky from the rest.
-    down_shift = np.where(~wide_frac, 52 - nf, 0).astype(np.uint64)
-    kept_frac = f52 >> down_shift
-    pattern_narrow = pattern_full | kept_frac
-    guard_shift = np.where(~wide_frac & (nf <= 51), 51 - nf, 0).astype(np.uint64)
-    guard_narrow = ((f52 >> guard_shift) & _U1).astype(bool)
-    sticky_mask = (_U1 << guard_shift) - _U1
-    sticky_narrow = (f52 & sticky_mask) != 0
-
-    # --- exponent truncated (very long regimes) -------------------------
-    de = np.where(~full_exp, es - np.maximum(rem, 0), 1).astype(np.uint64)
-    pattern_trunc = pattern | (e >> de)
-    guard_trunc = ((e >> (de - _U1)) & _U1).astype(bool)
-    low_exp_mask = (_U1 << (de - _U1)) - _U1
-    sticky_trunc = ((e & low_exp_mask) != 0) | (f52 != 0)
-
-    pattern = np.where(
-        full_exp,
-        np.where(wide_frac, pattern_wide, pattern_narrow),
-        pattern_trunc,
-    )
-    guard = np.where(full_exp, np.where(wide_frac, False, guard_narrow), guard_trunc)
-    sticky = np.where(full_exp, np.where(wide_frac, False, sticky_narrow), sticky_trunc)
-
-    # Round-to-nearest-even on the bit string.
-    round_up = guard & (sticky | ((pattern & _U1).astype(bool)))
-    pattern = pattern + round_up.astype(np.uint64)
+    bits = magnitude.view(np.int64)
+    k = ((bits >> 52) - 1023) >> es
+    # The regime is k + 1 ones and a zero, or -k zeros and a one: run + 2
+    # bits with run = k or -k - 1.  `unit` is its last bit in the body.
+    run = np.minimum(k ^ (k >> 63), n - 3)
+    unit = 1 << (n - 3 - run)
+    regime = np.where(k < 0, unit, -2 * unit) & config.maxpos_pattern
+    # The exponent bits e = h mod 2**es and the fraction: 1024 is a
+    # multiple of 2**es, so the low bits of the biased exponent plus one
+    # are e.  Posits whose n - 3 bits after the shortest regime outnumber
+    # the tail's 52 + es lift the tail, so that drop stays >= 0.
+    lift = max(n - 55 - es, 0)
+    tail = ((bits + (1 << 52)) & ((1 << (52 + es)) - 1)) << lift
+    pattern = shift_round(tail, run + (55 + es + lift - n), regime)
 
     # Clamp: never round a nonzero magnitude to zero or past maxpos.
-    pattern = np.maximum(pattern, np.uint64(config.minpos_pattern))
-    pattern = np.minimum(pattern, np.uint64(config.maxpos_pattern))
+    pattern = np.clip(pattern, config.minpos_pattern, config.maxpos_pattern).astype(np.uint64)
 
     # Specials and saturation override the general path.
     pattern = np.where(sat_hi, np.uint64(config.maxpos_pattern), pattern)
@@ -138,10 +82,3 @@ def encode(values, config: PositConfig) -> np.ndarray:
     if scalar_input:
         return result[0]
     return result
-
-
-def encode32(values) -> np.ndarray:
-    """Convenience: encode to standard posit32 patterns."""
-    from repro.posit.config import POSIT32
-
-    return encode(values, POSIT32)

@@ -63,6 +63,38 @@ class TestPerturbationDetection:
             for f in report.errors
         ), report.render()
 
+    def test_ties_away_rounding_is_caught_in_every_encoder(self, golden_dir, monkeypatch):
+        """Posit, fixed-posit and binary(e,f) encoders all round through
+        shift_round; rounding its ties away from zero must trip rne-ties
+        for each family, which the real helper leaves clean."""
+        import importlib
+
+        from repro.bitops import core
+
+        roster = ["posit16", "fixedposit(16,es=2,r=3)", "binary(6,9)"]
+
+        def rne_ties():
+            report = run_conformance("smoke", roster, golden_dir=golden_dir)
+            return [result for result in report.results if result.check == "rne-ties"]
+
+        clean = rne_ties()
+        assert len(clean) == 3
+        assert all(result.ok and result.checked > 0 for result in clean), clean
+
+        def ties_away(tail, drop, high=0):
+            kept = high | tail >> drop
+            rem = tail & ((1 << drop) - 1)
+            return kept + (rem << 1 >= 1 << drop)
+
+        for name in ("repro.posit.encode", "repro.formats.fixedposit", "repro.ieee.bits"):
+            module = importlib.import_module(name)
+            assert module.shift_round is core.shift_round, name
+            monkeypatch.setattr(module, "shift_round", ties_away)
+        broken = rne_ties()
+        assert [result.subject for result in broken if not result.ok] == [
+            "posit16", "fixedposit(16,es=2,r=3)", "binary(6,9)"
+        ], broken
+
     def test_lean_classify_off_at_one_long_run_is_caught(self, monkeypatch):
         """Runs of 29 bits fall outside the leading-byte strata; the
         run-length sample still reaches them."""

@@ -74,6 +74,19 @@ class TestCustomLayouts:
             bits = fmt.to_bits(np.array([5e-324, -5e-324, 1e-310]))
         assert bits.tolist() == [0, sign, 0]
 
+    @pytest.mark.parametrize("spec", ["binary(11,20)", "binary(11,4)", "binary(5,10)"])
+    def test_special_patterns_decode_without_warnings(self, spec):
+        # With 11 exponent bits the inf/NaN exponent is 1024 past the
+        # bias; decoding must not overflow on the way to inf and NaN.
+        fmt = resolve(spec)
+        layout = fmt.format
+        inf = layout.exponent_all_ones << layout.fraction_bits
+        patterns = np.array([inf, inf | layout.sign_mask, inf | 1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fmt.from_bits(patterns.astype(fmt.dtype))
+        assert values[0] == np.inf and values[1] == -np.inf and np.isnan(values[2])
+
     def test_rne_ties_to_even(self):
         fmt = IEEEFormat("binary(6,9)", exponent_bits=6, fraction_bits=9, float_dtype=None)
         # Halfway between fraction 0 and 1 at scale 0 rounds to even (0);

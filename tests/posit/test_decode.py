@@ -5,7 +5,7 @@ import numpy as np
 from repro.bitops import to_signed
 from repro.posit._reference import decode_float
 from repro.posit.config import POSIT8, POSIT16, POSIT32, POSIT64, PositConfig
-from repro.posit.decode import decode, decode32
+from repro.posit.decode import decode
 
 
 def _assert_same_values(got: np.ndarray, expected: np.ndarray) -> None:
@@ -62,9 +62,6 @@ class TestSpecials:
         value = decode(np.uint64(0x40000000), POSIT32)
         assert np.ndim(value) == 0
         assert value == 1.0
-
-    def test_decode32_convenience(self):
-        assert decode32(np.uint64(0x40000000)) == 1.0
 
 
 class TestLatticeProperties:

@@ -6,7 +6,7 @@ import pytest
 from repro.posit._reference import encode_exact
 from repro.posit.config import POSIT8, POSIT16, POSIT32, POSIT64, PositConfig
 from repro.posit.decode import decode
-from repro.posit.encode import encode, encode32
+from repro.posit.encode import encode
 
 
 def _check_against_reference(values: np.ndarray, config) -> None:
@@ -121,9 +121,6 @@ class TestSpecials:
         assert encode(np.array([1.0]), POSIT16).dtype == np.uint16
         assert encode(np.array([1.0]), POSIT32).dtype == np.uint32
         assert encode(np.array([1.0]), POSIT64).dtype == np.uint64
-
-    def test_encode32_convenience(self):
-        assert int(encode32(np.float64(1.0))) == 0x40000000
 
 
 class TestGeneralizedEs:
