@@ -125,15 +125,18 @@ def conversion_report(data, stored) -> ConversionReport:
     """
     raw = np.asarray(data, dtype=np.float64).reshape(-1)
     stored = np.asarray(stored).reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(raw - stored) / np.abs(raw)
-    rel = np.where(raw == 0, np.where(stored == 0, 0.0, np.inf), rel)
-    finite = rel[np.isfinite(rel)]
-    return ConversionReport(
-        mean_relative_error=float(np.mean(finite)) if finite.size else 0.0,
-        max_relative_error=float(np.max(finite)) if finite.size else 0.0,
-        exact_fraction=float(np.mean(stored == raw)),
-    )
+    # |(raw - stored) / raw| in place; a zero raw value gives a finite
+    # error (0.0) only when it is stored as zero.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = np.subtract(raw, stored)
+        np.abs(np.divide(rel, raw, out=rel), out=rel)
+        rel[(raw == 0) & (stored == 0)] = 0.0
+        finite = rel[np.isfinite(rel)]
+        return ConversionReport(
+            mean_relative_error=float(np.mean(finite)) if finite.size else 0.0,
+            max_relative_error=float(np.max(finite)) if finite.size else 0.0,
+            exact_fraction=float(np.mean(stored == raw)),
+        )
 
 
 def bit_seeds(config: CampaignConfig, target: NumberFormat) -> dict[int, np.random.SeedSequence]:

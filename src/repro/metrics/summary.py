@@ -44,28 +44,42 @@ class SummaryStats:
 
     @classmethod
     def from_array(cls, values) -> "SummaryStats":
+        """Summarize ``values``, bit-identical to the separate NumPy reductions.
+
+        ``np.mean`` is ``total / n`` and ``np.std`` is ``sqrt(centered_sq / n)``.
+        One sort gives the median (``np.median``'s last step: the mean of the
+        middle values) and the second extremes.  Sort and partition may order
+        ``-0.0`` and ``0.0`` differently, and ``np.median`` returns the
+        partition's NaN, so a zero second extreme or a NaN field keeps that call.
+        """
         array = np.asarray(values, dtype=np.float64).reshape(-1)
-        if array.size == 0:
+        n = array.size
+        if n == 0:
             raise ValueError("cannot summarize an empty array")
-        total = float(np.sum(array))
-        center = total / array.size
-        deviations = array - center
-        centered_sum = float(np.sum(deviations))
-        with np.errstate(over="ignore"):
-            centered_sq = float(np.sum(deviations * deviations))
-        if array.size >= 2:
-            maximum2 = float(np.partition(array, -2)[-2])
-            minimum2 = float(np.partition(array, 1)[1])
-        else:
-            maximum2 = float("-inf")
-            minimum2 = float("inf")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(array))
+            center = total / n
+            deviations = array - center
+            centered_sum = float(np.sum(deviations))
+            centered_sq = float(np.sum(np.multiply(deviations, deviations, out=deviations)))
+            del deviations
+            ordered = np.sort(array)
+            has_nan = bool(np.isnan(ordered[-1]))
+            median = np.median(array) if has_nan else np.mean(ordered[(n - 1) // 2 : n // 2 + 1])
+        maximum2, minimum2 = float("-inf"), float("inf")
+        if n >= 2:
+            maximum2, minimum2 = float(ordered[-2]), float(ordered[1])
+            if has_nan or maximum2 == 0:
+                maximum2 = float(np.partition(array, -2)[-2])
+            if has_nan or minimum2 == 0:
+                minimum2 = float(np.partition(array, 1)[1])
         return cls(
-            count=int(array.size),
-            mean=float(np.mean(array)),
-            median=float(np.median(array)),
+            count=n,
+            mean=center,
+            median=float(median),
             maximum=float(np.max(array)),
             minimum=float(np.min(array)),
-            std=float(np.std(array)),
+            std=float(np.sqrt(centered_sq / n)),
             total=total,
             centered_sq=centered_sq,
             center=center,

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry import format_duration
@@ -98,8 +98,11 @@ class RunnerEvent:
 
     def to_json(self) -> dict:
         """A JSON-serializable mapping (wall-clock stamped at call time)."""
-        payload = {"ts": time.time(), **asdict(self)}
-        if not payload["detail"]:
+        # No ``asdict`` deep copy: callers serialize the mapping at once.
+        payload = {"ts": time.time(), **vars(self)}
+        if self.detail:
+            payload["detail"] = dict(self.detail)
+        else:
             del payload["detail"]
         return {key: value for key, value in payload.items() if value is not None}
 

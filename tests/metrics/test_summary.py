@@ -1,5 +1,7 @@
 """Tests for summary statistics and the O(1) replacement update."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -34,6 +36,15 @@ class TestFromArray:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             SummaryStats.from_array([])
+
+    @pytest.mark.parametrize("values", [[1.0, np.inf], [1e308, 1e308]])
+    def test_non_finite_and_huge_fields_raise_no_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stats = SummaryStats.from_array(values)
+        with np.errstate(all="ignore"):
+            expected = np.mean(values), np.median(values), np.max(values), np.std(values)
+        np.testing.assert_array_equal((stats.mean, stats.median, stats.maximum, stats.std), expected)
 
     def test_as_row(self):
         stats = SummaryStats.from_array([1.0, 2.0])

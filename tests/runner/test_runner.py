@@ -245,6 +245,25 @@ class TestEvents:
         assert "error" not in payload
         assert "eta_seconds" not in payload
 
+    @pytest.mark.parametrize("event", [
+        RunnerEvent(kind="shard_start", bit=3),
+        RunnerEvent(kind="shard_finish", elapsed=1.5, bit=0, shards_done=1, shards_total=2,
+                    trials_per_sec=12.5, trace_id="abc", detail={"duration": 0.25}),
+        RunnerEvent(kind="chaos_fault", error="chaos: torn", detail={
+            "spec": {"kind": "torn", "at": [1, 2]}, "paths": ["a", "b"], "nested": {"x": {"y": None}}}),
+    ])
+    def test_event_json_equals_asdict_form(self, event):
+        import json
+        from dataclasses import asdict
+
+        expected = {key: value for key, value in asdict(event).items()
+                    if value is not None and (key != "detail" or value)}
+        payload = event.to_json()
+        assert isinstance(payload.pop("ts"), float)
+        assert json.dumps(payload) == json.dumps(expected)
+        payload.get("detail", {})["added"] = 1
+        assert "added" not in event.detail
+
     def test_progress_renderer_writes_lines(self, small_field):
         import io
 
