@@ -97,13 +97,6 @@ class DetectionOutcome:
     detection_index_correct: bool
     false_positives_before: int
 
-    @property
-    def latency(self) -> int | None:
-        """Sweeps between injection and detection (None if missed)."""
-        if self.detection_iteration is None:
-            return None
-        return self.detection_iteration - self.injected_iteration
-
 
 def evaluate_on_jacobi(
     problem,

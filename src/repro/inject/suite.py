@@ -70,11 +70,6 @@ class SuiteResult:
             raise FileNotFoundError(f"no run for ({field_key}, {target}) at {cell}")
         return load_run_records(cell)
 
-    def all_records(self, target: str) -> TrialRecords:
-        """Concatenate every field's records for one target."""
-        shards = [self.records(field_key, target) for field_key in self.config.fields]
-        return TrialRecords.concatenate(shards)
-
 
 def run_suite(
     config: SuiteConfig,

@@ -78,10 +78,6 @@ class FaultMetrics:
             }
         )
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Name -> array view (CSV column assembly, legacy consumers)."""
-        return {field.name: getattr(self, field.name) for field in dataclass_fields(self)}
-
 
 def single_fault_metrics(
     baseline: SummaryStats,

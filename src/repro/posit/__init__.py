@@ -15,7 +15,6 @@ from repro.posit._reference import (
     decode_float,
     encode_exact,
 )
-from repro.posit.array import PositArray
 from repro.posit.arithmetic import (
     absolute,
     add,
@@ -32,11 +31,9 @@ from repro.posit.config import (
     POSIT16,
     POSIT32,
     POSIT64,
-    STANDARD_CONFIGS,
     PositConfig,
     standard_config,
 )
-from repro.posit.convert import convert, is_widening_exact, round_trip_is_identity
 from repro.posit.decode import decode
 from repro.posit.encode import encode
 from repro.posit.fields import (
@@ -51,7 +48,7 @@ from repro.posit.fields import (
 )
 from repro.posit.lean import LEAN_MAX_BITS, lean_classify, lean_decode, lean_regime
 from repro.posit.quire import Quire, dot, total
-from repro.posit.special import is_nar, is_negative, is_zero, maxpos, minpos, nar, zero
+from repro.posit.special import is_nar, is_zero, maxpos, minpos, nar, zero
 from repro.posit.ulp import next_down, next_up, relative_spacing_at, spacing_at, ulp
 
 __all__ = [
@@ -62,17 +59,14 @@ __all__ = [
     "POSIT32",
     "POSIT64",
     "POSIT8",
-    "PositArray",
     "PositConfig",
     "PositField",
     "Quire",
-    "STANDARD_CONFIGS",
     "absolute",
     "add",
     "classify_all_bits",
     "classify_bit",
     "compare",
-    "convert",
     "decode",
     "decode_exact",
     "decode_exact_twos_complement",
@@ -84,8 +78,6 @@ __all__ = [
     "encode_exact",
     "fma",
     "is_nar",
-    "is_negative",
-    "is_widening_exact",
     "is_zero",
     "layout_string",
     "lean_classify",
@@ -102,7 +94,6 @@ __all__ = [
     "spacing_at",
     "ulp",
     "regime_k",
-    "round_trip_is_identity",
     "sqrt",
     "standard_config",
     "subtract",

@@ -101,16 +101,7 @@ class PositConfig:
         """NumPy unsigned dtype wide enough to store a bit pattern."""
         return uint_dtype_for(self.nbits)
 
-    @property
-    def storage_bits(self) -> int:
-        """Width of the NumPy storage dtype in bits."""
-        return self.dtype.itemsize * 8
-
     # -- convenience -------------------------------------------------------
-
-    def is_standard(self) -> bool:
-        """True when this format follows the 2022 standard (es == 2)."""
-        return self.es == 2
 
     def describe(self) -> str:
         """Single-line human-readable summary of the format."""
@@ -134,5 +125,3 @@ POSIT8 = standard_config(8)
 POSIT16 = standard_config(16)
 POSIT32 = standard_config(32)
 POSIT64 = standard_config(64)
-
-STANDARD_CONFIGS = {8: POSIT8, 16: POSIT16, 32: POSIT32, 64: POSIT64}

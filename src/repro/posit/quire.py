@@ -74,16 +74,6 @@ class Quire:
             self._sum += va * vb
         return self
 
-    def subtract_product(self, a: int, b: int) -> "Quire":
-        """Accumulate the negated exact product of two posits."""
-        va = decode_exact(int(a), self.config)
-        vb = decode_exact(int(b), self.config)
-        if va is None or vb is None:
-            self._nar = True
-        elif not self._nar:
-            self._sum -= va * vb
-        return self
-
     # -- termination ---------------------------------------------------------
 
     def to_posit(self) -> int:

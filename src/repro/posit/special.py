@@ -19,13 +19,6 @@ def is_zero(bits, config: PositConfig) -> np.ndarray:
     return work == np.uint64(config.zero_pattern)
 
 
-def is_negative(bits, config: PositConfig) -> np.ndarray:
-    """True where the posit value is negative (sign set, not NaR)."""
-    work = np.asarray(bits).astype(np.uint64, copy=False) & np.uint64(config.mask)
-    sign_set = (work & np.uint64(config.sign_mask)) != 0
-    return sign_set & (work != np.uint64(config.nar_pattern))
-
-
 def nar(config: PositConfig) -> np.integer:
     """The NaR pattern as a NumPy scalar of the storage dtype."""
     return config.dtype.type(config.nar_pattern)

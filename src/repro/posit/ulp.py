@@ -9,8 +9,11 @@ for posit-stored data.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.posit._reference import decode_exact
 from repro.posit.config import PositConfig
 from repro.posit.decode import decode
 from repro.posit.encode import encode
@@ -47,15 +50,31 @@ def ulp(bits, config: PositConfig) -> np.ndarray:
 
     For maxpos (no successor) the distance to the *predecessor* is
     returned, mirroring how IEEE ulp conventions handle the top of the
-    range; NaR yields NaN.
+    range; NaR yields NaN.  Formats with more than 52 fraction bits
+    (posit64) take each gap from exact rational decodes, since float64
+    cannot tell their neighbours apart.
     """
     work = np.asarray(bits).astype(np.uint64, copy=False) & np.uint64(config.mask)
-    values = np.asarray(decode(work, config), dtype=np.float64)
-    up = np.asarray(decode(next_up(work, config), config), dtype=np.float64)
-    down = np.asarray(decode(next_down(work, config), config), dtype=np.float64)
     at_max = work == np.uint64(config.maxpos_pattern)
-    spacing = np.where(at_max, values - down, up - values)
+    neighbour = np.where(at_max, next_down(work, config), next_up(work, config))
+    if config.max_fraction_bits > 52:
+        spacing = _exact_gaps(work, neighbour, config)
+    else:
+        values = np.asarray(decode(work, config), dtype=np.float64)
+        spacing = np.abs(np.asarray(decode(neighbour, config), dtype=np.float64) - values)
     return np.where(work == np.uint64(config.nar_pattern), np.nan, spacing)
+
+
+def _exact_gaps(work: np.ndarray, neighbour: np.ndarray, config: PositConfig) -> np.ndarray:
+    """|neighbour - work| per element, rounded once to float64."""
+    gaps = []
+    for pattern, other in zip(work.ravel().tolist(), neighbour.ravel().tolist()):
+        value = decode_exact(pattern, config)
+        if value is None:
+            gaps.append(math.nan)
+        else:
+            gaps.append(float(abs(decode_exact(other, config) - value)))
+    return np.array(gaps, dtype=np.float64).reshape(work.shape)
 
 
 def spacing_at(values, config: PositConfig) -> np.ndarray:

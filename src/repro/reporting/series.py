@@ -30,14 +30,6 @@ class Series:
         mask = np.isfinite(self.y)
         return Series(self.label, self.x[mask], self.y[mask])
 
-    def max_point(self) -> tuple[float, float]:
-        """(x, y) of the maximum finite y."""
-        clean = self.finite()
-        if clean.y.size == 0:
-            return float("nan"), float("nan")
-        i = int(np.argmax(clean.y))
-        return float(clean.x[i]), float(clean.y[i])
-
 
 @dataclass
 class Figure:

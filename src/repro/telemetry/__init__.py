@@ -40,7 +40,6 @@ from repro.telemetry.core import (
     TelemetrySnapshot,
     get_telemetry,
     resolve_collector,
-    set_default_telemetry,
     telemetry_enabled_by_env,
     telemetry_scope,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "render_run_report",
     "resolve_collector",
     "resolve_trace",
-    "set_default_telemetry",
     "telemetry_enabled_by_env",
     "telemetry_path",
     "telemetry_scope",

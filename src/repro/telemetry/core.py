@@ -369,12 +369,6 @@ def get_telemetry():
     return _STACK[-1]
 
 
-def set_default_telemetry(collector) -> None:
-    """Replace the base (process-default) collector."""
-    with _STACK_LOCK:
-        _STACK[0] = collector
-
-
 def _reset_process_stack(collector) -> None:
     """Forget every active scope and install ``collector`` as the base.
 

@@ -61,7 +61,7 @@ class TestOnJacobi:
     def test_large_flip_detected_at_injection(self):
         outcome = evaluate_on_jacobi(PROBLEM, "ieee32", 10, CENTER, 30)
         assert outcome.detected
-        assert outcome.latency == 0
+        assert outcome.detection_iteration == outcome.injected_iteration
         assert outcome.detection_index_correct
         assert outcome.false_positives_before == 0
 

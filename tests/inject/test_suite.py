@@ -78,11 +78,6 @@ class TestRunSuite:
         assert len(seen) == 4
         assert all(not skipped for _, _, skipped in seen)
 
-    def test_all_records_concatenates(self, small_config, tmp_path):
-        result = run_suite(small_config, tmp_path, jobs=1)
-        merged = result.all_records("posit32")
-        assert len(merged) == 2 * 3 * 32
-
     def test_results_deterministic_across_runs(self, small_config, tmp_path_factory):
         a_dir = tmp_path_factory.mktemp("a")
         b_dir = tmp_path_factory.mktemp("b")

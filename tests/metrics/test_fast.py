@@ -57,12 +57,12 @@ class TestVectorized:
         old = old.copy()
         old[7] = 0.0
 
-        batch = vectorized_single_fault(baseline, old, new).as_dict()
+        batch = vectorized_single_fault(baseline, old, new)
         for i in range(64):
             scalar = single_fault_metrics(baseline, float(old[i]), float(new[i]))
             row = scalar.as_row()
             for key in ("max_abs_err", "max_rel_err", "range_rel_err", "mse", "non_finite"):
-                got = batch[key][i]
+                got = getattr(batch, key)[i]
                 expected = row[key]
                 if np.isnan(got) and np.isnan(expected):
                     continue

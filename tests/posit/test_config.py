@@ -8,7 +8,6 @@ from repro.posit.config import (
     POSIT16,
     POSIT32,
     POSIT64,
-    STANDARD_CONFIGS,
     PositConfig,
     standard_config,
 )
@@ -70,7 +69,6 @@ class TestDerivedConstants:
         config = PositConfig(nbits=10, es=2)
         assert config.dtype == np.uint16
         assert config.mask == (1 << 10) - 1
-        assert config.storage_bits == 16
 
     def test_es_zero(self):
         config = PositConfig(nbits=8, es=0)
@@ -80,11 +78,9 @@ class TestDerivedConstants:
 
 class TestStandardConfigs:
     def test_registry(self):
-        assert set(STANDARD_CONFIGS) == {8, 16, 32, 64}
-        for nbits, config in STANDARD_CONFIGS.items():
+        for nbits, config in ((8, POSIT8), (16, POSIT16), (32, POSIT32), (64, POSIT64)):
             assert config.nbits == nbits
             assert config.es == 2
-            assert config.is_standard()
 
     def test_standard_config_cached(self):
         assert standard_config(32) is standard_config(32)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.posit._reference import decode_exact, encode_exact
+from repro.posit.arithmetic import negate
 from repro.posit.config import POSIT8, POSIT16, POSIT32
 from repro.posit.encode import encode
 from repro.posit.quire import Quire, dot, total
@@ -26,7 +27,7 @@ class TestQuire:
         quire = Quire(POSIT32)
         a = int(encode(np.float64(1.5), POSIT32))
         b = int(encode(np.float64(2.0), POSIT32))
-        quire.add_product(a, b).subtract_product(a, a)
+        quire.add_product(a, b).add_product(a, int(negate(a, POSIT32)))
         assert quire.value_exact() == Fraction(3) - Fraction(9, 4)
 
     def test_nar_poisons(self):

@@ -17,15 +17,6 @@ class TestSeries:
         assert clean.x.tolist() == [0, 3]
         assert clean.y.tolist() == [1.0, 2.0]
 
-    def test_max_point(self):
-        series = Series("s", np.arange(3), np.array([1.0, 5.0, np.nan]))
-        assert series.max_point() == (1.0, 5.0)
-
-    def test_max_point_empty(self):
-        series = Series("s", np.arange(2), np.array([np.nan, np.nan]))
-        x, y = series.max_point()
-        assert np.isnan(x) and np.isnan(y)
-
 
 class TestFigure:
     def test_add_get_labels(self):
